@@ -3,7 +3,8 @@
 One command per library operation; input is a file argument or stdin,
 output is canonical text on stdout (or JSON with --json).  Exit codes:
 0 success, 1 unit/improper result where a proper object was requested,
-2 parse or usage error.
+2 parse or usage error, 3 internal failure (an exhausted computation
+budget or a violated internal certificate), which is no answer.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def run(argv) -> int:
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        print("error: internal failure: %s" % exc, file=sys.stderr)
+        return 3
 
 
 def _dispatch(args, sigma: SigmaConfig, text: str) -> int:

@@ -14,7 +14,7 @@ import enum
 import re
 from fractions import Fraction
 
-from .polyzx import DegenerateInput, IntPoly
+from .polyzx import DegenerateInput, IntPoly, prime_factors
 
 
 class SigmaConfig(enum.Enum):
@@ -56,14 +56,10 @@ class FieldConst:
             q, turn = -q, Fraction(1, 2)
         factors = {}
         for value, sign in ((q.numerator, 1), (q.denominator, -1)):
-            d = 2
-            while d * d <= value:
-                while value % d == 0:
-                    factors[d] = factors.get(d, 0) + sign
-                    value //= d
-                d += 1
-            if value > 1:
-                factors[value] = factors.get(value, 0) + sign
+            for p in prime_factors(value):
+                while value % p == 0:
+                    factors[p] = factors.get(p, 0) + sign
+                    value //= p
         return cls(factors, turn)
 
     @classmethod

@@ -26,9 +26,8 @@ from .zx_lattice import (
     LatVec,
     DimensionError,
     ghnf_track,
-    gker,
     grem_track,
-    lattice_equal,
+    kernel_from_track,
 )
 from . import saturation
 
@@ -148,11 +147,7 @@ class PartialCharacter:
         r, qs = grem_track(v, self.basis)
         if r:
             return None
-        out = FieldConst.one()
-        for q, d in zip(qs, self.constants):
-            if q:
-                out = out * pow_zx(d, q, self.sigma)
-        return out
+        return _apply(qs, self.constants, self.sigma)
 
     def __eq__(self, other) -> bool:
         return (
@@ -170,6 +165,33 @@ class PartialCharacter:
         return "PartialCharacter(%s)" % "; ".join(str(b) for b in self.binomials)
 
 
+def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
+    """prod consts[l]^exponents[l], with Z[x]-exponents acting through sigma."""
+    acc = FieldConst.one()
+    for q, c in zip(exponents, consts):
+        if q:
+            acc = acc * pow_zx(c, q, sigma)
+    return acc
+
+
+def _support_part(supports: list[LatVec], n: int):
+    """(basis, exprs, relations) of nonzero supports, from one tracked
+    completion: the GHNF, each column's expression over the supports,
+    and generators of the supports' Z[x]-relations."""
+    basis, exprs = ghnf_track(supports, n)
+    return basis, exprs, kernel_from_track(supports, basis, exprs)
+
+
+def _with_constants(part, consts, sigma: SigmaConfig):
+    """The character with these constants on the part's supports, or UNIT."""
+    basis, exprs, relations = part
+    for rel in relations:
+        if not _apply(rel.entries, consts, sigma).is_one():
+            return UNIT
+    out_consts = tuple(_apply(expr, consts, sigma) for expr in exprs)
+    return PartialCharacter(basis.n, sigma, basis, out_consts)
+
+
 def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     """Present [binomials] by a partial character, or UNIT if improper.
 
@@ -177,6 +199,11 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     exactly when every Z[x]-relation of the supports sends the constants
     to 1.  The character's basis is the canonical GHNF of the supports
     with constants pushed through the change of generators.
+
+    One tracked completion of the supports gives both the basis and the
+    relations.  That support part does not depend on the constants, so
+    ``dec_laurent`` builds it once for all systems that differ only in
+    their constants and runs the constant part per system.
     """
     binomials = list(binomials)
     if n is None:
@@ -194,22 +221,7 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
             return UNIT
         supports.append(b.support)
         consts.append(b.constant)
-    for rel in gker(supports):
-        acc = FieldConst.one()
-        for q, c in zip(rel.entries, consts):
-            if q:
-                acc = acc * pow_zx(c, q, sigma)
-        if not acc.is_one():
-            return UNIT
-    basis, exprs = ghnf_track(supports, n)
-    out_consts = []
-    for expr in exprs:
-        acc = FieldConst.one()
-        for q, c in zip(expr, consts):
-            if q:
-                acc = acc * pow_zx(c, q, sigma)
-        out_consts.append(acc)
-    return PartialCharacter(n, sigma, basis, tuple(out_consts))
+    return _with_constants(_support_part(supports, n), consts, sigma)
 
 
 def charset(binomials, sigma: SigmaConfig, n: int | None = None):
@@ -349,36 +361,35 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
     Empty output means the perfect closure is the unit ideal.  Branching
     adjoins, for every ZFactor witness (h, k, e), each k-th root of
     rho(k h) as the constant of a new generator with support h.
+
+    The branch tree is walked level by level, starting from the
+    reflexive closure.  Branches differ only in their constants: every
+    character on a level has the same basis, hence the same witnesses,
+    and every system of the next level has the same supports.  So
+    ``zfactor`` and the tracked completion run once per level, and each
+    root choice only evaluates the constant part of ``make_character``.
     """
     start = reflexive_closure(binomials, sigma, n)
     if is_unit(start):
         return []
-    components: list[PartialCharacter] = []
-    work = [list(start.binomials)]
-    while work:
-        system = work.pop()
-        rho = charset(system, sigma, start.n)
-        if is_unit(rho):
-            continue
-        wits = saturation.zfactor(rho.basis)
+    level = [start]
+    while True:
+        basis = level[0].basis
+        wits = saturation.zfactor(basis)
         if not wits:
-            if rho not in components:
-                components.append(rho)
-            continue
-        root_lists = []
-        for w in wits:
-            c = FieldConst.one()
-            for q, d in zip(w.e, rho.constants):
-                if q:
-                    c = c * pow_zx(d, q, rho.sigma)
-            root_lists.append([(w.h, r) for r in kth_roots(c, w.k)])
-        for choice in itertools.product(*root_lists):
-            work.append(
-                list(rho.binomials)
-                + [LaurentBinomial(h, r) for h, r in choice]
-            )
-    components.sort(key=_character_sort_key)
-    return components
+            break
+        part = _support_part(list(basis.columns) + [w.h for w in wits], start.n)
+        children = []
+        for rho in level:
+            root_lists = [kth_roots(_apply(w.e, rho.constants, sigma), w.k) for w in wits]
+            for choice in itertools.product(*root_lists):
+                child = _with_constants(part, rho.constants + choice, sigma)
+                if not is_unit(child) and child not in children:
+                    children.append(child)
+        if not children:
+            return []
+        level = children
+    return sorted(level, key=_character_sort_key)
 
 
 def dimension(rho: PartialCharacter) -> int:

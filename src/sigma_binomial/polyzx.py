@@ -8,7 +8,9 @@ are tiny, so no fast multiplication is attempted.
 
 from __future__ import annotations
 
+import itertools
 import re
+from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 
@@ -44,20 +46,160 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_LIMIT) if all(p % d for d in range(2, isqrt(p) + 1))
+)
+# The smallest strong pseudoprime to all prime bases up to 41 is this
+# bound (Sorenson and Webster 2015); the one for the bases up to 37 is
+# 318665857834031151167461, so 41 is needed.  Above the bound: BPSW.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: whether odd n > 2 is a strong probable prime to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1; P = 1 and
+    Q = (1 - D)/4.  Writing n + 1 = d*2^s, n passes when U_d = 0 or
+    V_(d*2^r) = 0 for some r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no suitable D exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, P, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n: exact below 3.3*10^24, BPSW above.
+
+    No composite is known to pass BPSW, and none exists below 2^64.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        return True  # no factor below 1000
+    if n < _MR_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of rho."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product overshot: step back one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| by trial division, ascending."""
+    """Distinct prime factors of |n|, ascending.
+
+    Primes below 1000 are divided out; the cofactor is split by
+    Pollard-Brent rho, each part tested by ``_is_prime``.
+    """
     n = abs(n)
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out.append(m)
+            continue
+        f = _pollard_brent(m)
+        stack.extend((f, m // f))
+    return sorted(set(out))
 
 
 class IntPoly:
@@ -182,7 +324,6 @@ class IntPoly:
 
 
 X = IntPoly((0, 1))
-ONE_POLY = IntPoly((1,))
 
 
 class ModPoly:
@@ -308,23 +449,6 @@ def lift(a: ModPoly) -> IntPoly:
 def modpoly_divrem(a: ModPoly, b: ModPoly) -> tuple[ModPoly, ModPoly]:
     """Quotient and remainder in Z_p[x] with deg r < deg b."""
     return divmod(a, b)
-
-
-def modpoly_gcdext(a: ModPoly, b: ModPoly) -> tuple[ModPoly, ModPoly, ModPoly]:
-    """Return (g, u, v) over Z_p[x] with g = u*a + v*b, g monic or zero."""
-    p = a.p
-    old_r, r = a, b
-    old_u, u = ModPoly(p, (1,)), ModPoly(p)
-    old_v, v = ModPoly(p), ModPoly(p, (1,))
-    while r:
-        q, rem = divmod(old_r, r)
-        old_r, r = r, rem
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r:
-        inv = pow(old_r.lead, -1, p)
-        old_r, old_u, old_v = old_r * inv, old_u * inv, old_v * inv
-    return old_r, old_u, old_v
 
 
 # ---------------------------------------------------------------------------

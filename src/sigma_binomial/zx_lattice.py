@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import pid_linalg
@@ -47,6 +46,7 @@ __all__ = [
     "verify_ghnf",
     "syzygy_basis",
     "gker",
+    "kernel_from_track",
     "enumerate_c",
     "rank",
     "contains",
@@ -714,61 +714,64 @@ def syzygy_basis(basis: GhnfBasis) -> list[LatVec]:
     return out
 
 
-def _apply_matrix(cols: Sequence[LatVec], x: LatVec) -> LatVec:
-    n = cols[0].n
-    out = LatVec.zero(n)
-    for c, q in zip(cols, x.entries):
-        if q:
-            out = out + c * q
+def kernel_from_track(
+    gens: Sequence[LatVec],
+    basis: GhnfBasis,
+    exprs: Sequence[tuple[IntPoly, ...]],
+) -> list[LatVec]:
+    """Generators of the Z[x]-relations among nonzero gens, in Z[x]^len(gens).
+
+    ``basis, exprs`` is ``ghnf_track(gens)``.  The Schreyer syzygies of
+    the GHNF are lifted through the expressions and joined with the
+    relation expressing each generator over the GHNF.  Zero relations
+    are dropped; duplicates are not.
+    """
+    s = len(gens)
+    out: list[LatVec] = []
+    for syz in syzygy_basis(basis):
+        lifted = [IntPoly()] * s
+        for k, q in enumerate(syz.entries):
+            if q:
+                for l in range(s):
+                    lifted[l] = lifted[l] + q * exprs[k][l]
+        v = LatVec(lifted)
+        if v:
+            out.append(v)
+    for pos in range(s):
+        r, qs = grem_track(gens[pos], basis)
+        if r:
+            raise AssertionError("generator does not reduce to zero in its own lattice")
+        rel = [IntPoly()] * s
+        rel[pos] = IntPoly.const(1)
+        for k, q in enumerate(qs):
+            if q:
+                for l in range(s):
+                    rel[l] = rel[l] - q * exprs[k][l]
+        v = LatVec(rel)
+        if v:
+            out.append(v)
     return out
 
 
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:
     """Generators of {X in Z[x]^s | M X = 0} for the matrix with these columns.
 
-    Computed from a tracked completion: syzygies of the GHNF are lifted
-    through the transformation and joined with the relations expressing
-    each original column over the GHNF.
+    Zero columns give unit vectors; the rest comes from one tracked
+    completion of the nonzero columns through ``kernel_from_track``.
     """
     columns = list(columns)
     s = len(columns)
-    if s == 0:
-        return []
     nonzero = [l for l, c in enumerate(columns) if c]
     out: list[LatVec] = [LatVec.unit(s, l) for l, c in enumerate(columns) if not c]
     if not nonzero:
         return out
     sub = [columns[l] for l in nonzero]
     basis, exprs = ghnf_track(sub)
-
-    def widen(vec_entries):
+    for rel in kernel_from_track(sub, basis, exprs):
         full = [IntPoly()] * s
         for pos, l in enumerate(nonzero):
-            full[l] = vec_entries[pos]
-        return LatVec(full)
-
-    for syz in syzygy_basis(basis):
-        lifted = [IntPoly()] * len(sub)
-        for k, q in enumerate(syz.entries):
-            if q:
-                for l in range(len(sub)):
-                    lifted[l] = lifted[l] + q * exprs[k][l]
-        v = widen(lifted)
-        if v:
-            out.append(v)
-    for pos in range(len(sub)):
-        r, qs = grem_track(sub[pos], basis)
-        if r:
-            raise AssertionError("generator does not reduce to zero in its own lattice")
-        rel = [IntPoly()] * len(sub)
-        rel[pos] = IntPoly.const(1)
-        for k, q in enumerate(qs):
-            if q:
-                for l in range(len(sub)):
-                    rel[l] = rel[l] - q * exprs[k][l]
-        v = widen(rel)
-        if v:
-            out.append(v)
+            full[l] = rel.entries[pos]
+        out.append(LatVec(full))
     # drop exact duplicates, keep deterministic order
     seen = set()
     uniq = []
@@ -863,16 +866,3 @@ def member_oracle(gens: Sequence[LatVec], v: LatVec, degree_bound: int) -> bool:
 
     columns = [flatten(g.shift(j)) for g in gens for j in range(degree_bound + 1)]
     return pid_linalg.int_lattice_contains(columns, flatten(v))
-
-
-def multiplier_lcm(values: Iterable[int]) -> int:
-    vals = [v for v in values if v]
-    return lcm(*vals) if vals else 1
-
-
-def column_gcd(v: LatVec) -> int:
-    g = 0
-    for e in v.entries:
-        for _, c in e.monomials():
-            g = gcd(g, c)
-    return g

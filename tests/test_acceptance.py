@@ -12,7 +12,7 @@ import random
 import sys
 import time
 
-from conftest import V, rand_poly, rand_vec
+from conftest import V, laurent_systems, rand_poly, rand_vec
 from sigma_binomial.cli import run
 from sigma_binomial.constants import (
     FieldConst,
@@ -37,7 +37,7 @@ from sigma_binomial.zx_lattice import (
     verify_ghnf,
 )
 from sigma_binomial.saturation import is_saturated, sat_full, sat_m, sat_p, sat_x, sat_z, zfactor
-from sigma_binomial.laurent import LaurentBinomial, dec_laurent, is_prime, is_reflexive
+from sigma_binomial.laurent import dec_laurent, is_prime, is_reflexive
 from sigma_binomial.textio import parse_matrix
 
 ID, CONJ = SigmaConfig.IDENTITY, SigmaConfig.CONJUGATION
@@ -282,32 +282,7 @@ def test_criterion_9_property_suite():
     print("criterion 9: gker family (200 instances) ok")
 
     # --- Laurent decompositions ------------------------------------------
-    rng = random.Random(13)
-    pool = [
-        FieldConst.one(),
-        const_from_str("-1"),
-        const_from_str("2"),
-        const_from_str("4"),
-        const_from_str("zeta(3)"),
-        const_from_str("zeta(4)"),
-        const_from_str("-2"),
-        const_from_str("3"),
-    ]
-    for trial in range(200):
-        n = rng.randint(1, 3)
-        system = []
-        for _ in range(rng.randint(1, 3)):
-            while True:
-                v = LatVec(
-                    IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-                    for _ in range(n)
-                )
-                if v:
-                    break
-            if not v.is_normal():
-                v = -v
-            system.append(LaurentBinomial(v, rng.choice(pool)))
-        sigma = ID if rng.random() < 0.5 else CONJ
+    for trial, (n, system, sigma) in enumerate(laurent_systems()):
         components = dec_laurent(system, sigma, n)
         for c in components:
             assert is_prime(c), trial

@@ -156,3 +156,18 @@ def test_determinism():
     c = call(["ghnf", "--json"], MAT_71)
     d = call(["ghnf", "--json"], MAT_71)
     assert c == d
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("completion did not stabilize"),
+                                 AssertionError("multiplier certificate violated")])
+def test_internal_failure_exit_3(monkeypatch, capsys, exc):
+    import sigma_binomial.zx_lattice as zx
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(zx, "_complete", fail)
+    code, out = call(["dec-laurent"], SYS_716)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -115,3 +115,11 @@ def test_text_roundtrip():
         const_from_str("x")
     with pytest.raises(DegenerateInput):
         FieldConst.from_rational(0)
+
+
+def test_from_rational_large_prime_factors():
+    # a 54-bit semiprime over a 40-bit prime power; trial division took seconds
+    semiprime = 134217649 * 134217689
+    c = const_from_str("-%d/%d" % (semiprime, 1099511627791**2))
+    assert c.factors == ((134217649, 1), (134217689, 1), (1099511627791, -2))
+    assert c.turn == Fraction(1, 2)

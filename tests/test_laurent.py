@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import V
+from conftest import V, laurent_systems
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.zx_lattice import LatVec, gker, lattice_equal
@@ -282,3 +282,35 @@ def test_dimension():
     not_prime = make_character([L("y1^(2) - 4", 1)], ID, 1)
     with pytest.raises(NotReflexivePrime):
         dimension(not_prime)
+
+
+def _count_completions(monkeypatch):
+    """Record the inputs of every `_complete` call as a hashable key."""
+    import sigma_binomial.zx_lattice as zx
+
+    keys = []
+    original = zx._complete
+
+    def counted(inputs, track, *args, **kwargs):
+        keys.append((track, tuple((it.vec.entries, it.expr) for it in inputs)))
+        return original(inputs, track, *args, **kwargs)
+
+    monkeypatch.setattr(zx, "_complete", counted)
+    return keys
+
+
+def test_dec_laurent_completes_each_support_set_once(monkeypatch):
+    # criterion-9 seed 13, trial 101: 27 components from a deep branch tree
+    n, system, sigma = list(laurent_systems())[101]
+    keys = _count_completions(monkeypatch)
+    comps = dec_laurent(system, sigma, n)
+    assert len(comps) == 27
+    assert keys and len(set(keys)) == len(keys)
+
+
+def test_make_character_one_tracked_completion(monkeypatch):
+    sys716, n = parse_laurent_system(SYS_716)
+    keys = _count_completions(monkeypatch)
+    rho = make_character(sys716, ID, n)
+    assert not is_unit(rho)
+    assert len(keys) == 1 and keys[0][0] is True

@@ -1,6 +1,7 @@
 """Tests for exact polynomial arithmetic over Z and Z_p."""
 
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,9 @@ from sigma_binomial.polyzx import (
     poly_from_str,
     poly_to_str,
     prime_factors,
+    _is_prime,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
 )
 
 
@@ -64,6 +68,53 @@ def test_prime_factors():
     assert prime_factors(12) == [2, 3]
     assert prime_factors(1) == []
     assert prime_factors(97) == [97]
+
+
+def _trial_division(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def test_prime_factors_large_cofactor():
+    # an 89-bit GHNF leading coefficient that trial division never finished
+    started = time.time()
+    assert prime_factors(495334883697598769933131237) == [613, 808050381235887063512449]
+    # a 54-bit semiprime, and a prime past the exact Miller-Rabin range
+    assert prime_factors(134217649 * 134217689) == [134217649, 134217689]
+    big = (2**31 - 1) * (2**127 - 1)
+    assert prime_factors(-9 * 997 * big) == [3, 997, 2**31 - 1, 2**127 - 1]
+    assert time.time() - started < 1.0
+
+
+def test_prime_factors_matches_trial_division():
+    rng = random.Random(40)
+    for _ in range(100):
+        n = rng.randrange(1, 2**40)
+        assert prime_factors(n) == _trial_division(n), n
+    for n in range(1, 3000):
+        assert prime_factors(n) == _trial_division(n), n
+
+
+def test_primality_bpsw_branch():
+    # the strong Lucas half of BPSW, checked on odd numbers it never sees in
+    # prime_factors: together with base 2 it must agree with trial division
+    for n in range(3, 20000, 2):
+        bpsw = _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+        assert bpsw == (_trial_division(n) == [n]), n
+    # strong Lucas pseudoprimes under Selfridge's parameters
+    assert all(_strong_lucas_probable_prime(n) for n in (5459, 5777, 10877, 16109, 18971))
+    assert _is_prime(2**127 - 1) and not _is_prime((2**61 - 1) * (2**89 - 1))
+    # the smallest strong pseudoprimes to the prime bases up to 37 and up to 41
+    assert not _is_prime(318665857834031151167461)
+    assert not _is_prime(3317044064679887385961981)
 
 
 def test_mod_reduce_examples():
