@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyzx import DegenerateInput, ModPoly, ext_gcd
+from .polyzx import DegenerateInput, ModPoly
 
 
 @dataclass(frozen=True)
@@ -68,64 +68,88 @@ def _pivot_row_int(col) -> int:
     return -1
 
 
-def _hnf_int(columns: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def _hnf_int(
+    columns: list[list[int]], want_u: bool = True
+) -> tuple[list[list[int]], list[list[int]]]:
     """Column HNF over Z with transformation: returns (H, U), A*U = H.
 
     U is unimodular.  Zero columns of H come first; pivot columns follow
-    with strictly increasing (bottom-most) pivot rows and positive pivots.
+    with strictly increasing (bottom-most) pivot rows and positive
+    pivots, and each entry of a pivot row in a later column lies in
+    [0, pivot).  H is unique for the Z-span of the columns; U is not.
+
+    Rows are eliminated bottom first by Euclid steps: the live column
+    with the smallest entry in the row reduces the others by the nearest
+    quotient until one is left.  As soon as that pivot is fixed, the
+    pivot columns fixed before it are reduced modulo it, which keeps
+    their entries from swelling.  U is only built when ``want_u`` is
+    set; otherwise it comes back as an empty list.
     """
     s = len(columns)
-    work = [list(c) for c in columns]
-    u = [[1 if i == j else 0 for j in range(s)] for i in range(s)]  # columns of U
-
-    def combine(i, j, a, b, c, d):
-        # col_i, col_j <- a*col_i + b*col_j, c*col_i + d*col_j
-        for vecs in (work, u):
-            ci, cj = vecs[i], vecs[j]
-            for k in range(len(ci)):
-                ci[k], cj[k] = a * ci[k] + b * cj[k], c * ci[k] + d * cj[k]
-
     n = len(columns[0]) if columns else 0
-    pivot_of_row: dict[int, int] = {}
+    work = [list(c) for c in columns]
+    u = [[int(i == j) for i in range(s)] for j in range(s)] if want_u else []
+
+    def nonzeros(vec, stop):
+        return [(k, c) for k, c in enumerate(vec[:stop]) if c]
+
+    def sub(j, q, terms, uterms):
+        # col_j -= q * col_i, given the nonzero entries of col_i and U_i
+        cj = work[j]
+        for k, c in terms:
+            cj[k] -= q * c
+        if want_u:
+            uj = u[j]
+            for k, c in uterms:
+                uj[k] -= q * c
+
+    buckets: dict[int, list[int]] = {}  # pivot row -> columns, for rows not yet done
+    for j, col in enumerate(work):
+        r = _pivot_row_int(col)
+        if r >= 0:
+            buckets.setdefault(r, []).append(j)
+    fixed: list[int] = []
     for row in range(n - 1, -1, -1):
-        live = [j for j in range(s) if j not in pivot_of_row.values() and _pivot_row_int(work[j]) == row]
+        live = buckets.pop(row, None)
         if not live:
             continue
-        # gcd-eliminate until one column keeps a nonzero entry in this row
         while len(live) > 1:
-            live.sort(key=lambda j: (abs(work[j][row]), j))
-            i = live[0]
-            rest = []
-            for j in live[1:]:
-                a, b = work[i][row], work[j][row]
-                if b % a == 0:
-                    q = b // a
-                    combine(i, j, 1, 0, -q, 1)
-                else:
-                    g, x, y = ext_gcd(a, b)
-                    combine(i, j, x, y, -(b // g), a // g)
-                if _pivot_row_int(work[j]) == row:
+            i = min(live, key=lambda j: abs(work[j][row]))
+            a = work[i][row]
+            terms = nonzeros(work[i], row + 1)
+            uterms = nonzeros(u[i], s) if want_u else ()
+            rest = [i]
+            for j in live:
+                if j == i:
+                    continue
+                q, r = divmod(work[j][row], a)
+                if 2 * abs(r) > abs(a):
+                    q += 1
+                sub(j, q, terms, uterms)
+                if work[j][row]:
                     rest.append(j)
-            live = [i] + rest
+                else:
+                    r = _pivot_row_int(work[j][:row])
+                    if r >= 0:
+                        buckets.setdefault(r, []).append(j)
+            live = rest
         i = live[0]
         if work[i][row] < 0:
-            for vecs in (work, u):
-                vecs[i][:] = [-v for v in vecs[i]]
-        pivot_of_row[row] = i
-
-    # reduce entries at pivot rows in all other columns
-    for row in sorted(pivot_of_row, reverse=True):
-        i = pivot_of_row[row]
-        piv = work[i][row]
-        for j in range(s):
-            if j == i:
-                continue
-            q = work[j][row] // piv
+            work[i] = [-v for v in work[i]]
+            if want_u:
+                u[i] = [-v for v in u[i]]
+        p = work[i][row]
+        terms = nonzeros(work[i], row + 1)
+        uterms = nonzeros(u[i], s) if want_u else ()
+        for k in fixed:
+            q = work[k][row] // p
             if q:
-                combine(i, j, 1, 0, -q, 1)
+                sub(k, q, terms, uterms)
+        fixed.append(i)
 
-    order = sorted(range(s), key=lambda j: (_pivot_row_int(work[j]) != -1, _pivot_row_int(work[j]), j))
-    return [work[j] for j in order], [u[j] for j in order]
+    pivots = set(fixed)
+    order = [j for j in range(s) if j not in pivots] + fixed[::-1]
+    return [work[j] for j in order], ([u[j] for j in order] if want_u else [])
 
 
 def ker_int(mat: IntMat) -> list[tuple[int, ...]]:
@@ -139,7 +163,7 @@ def int_lattice_contains(columns, v) -> bool:
     """Whether integer vector v lies in the Z-span of the given columns."""
     if not columns:
         return not any(v)
-    h, _ = _hnf_int([list(c) for c in columns])
+    h, _ = _hnf_int([list(c) for c in columns], want_u=False)
     r = list(v)
     for j in range(len(h) - 1, -1, -1):
         row = _pivot_row_int(h[j])

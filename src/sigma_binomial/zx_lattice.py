@@ -1,10 +1,15 @@
 """Z[x]^n vectors, Groebner reduction, and generalized Hermite normal forms.
 
 The monomial order on Z[x]^n compares row first, then degree, then the
-absolute value of the coefficient.  Completion is plain Buchberger over
-the pair queue followed by full interreduction; the output basis is the
+absolute value of the coefficient.  The output basis of ``ghnf`` is the
 canonical reduced Groebner basis of the lattice (block-structured, the
-"generalized Hermite normal form").
+"generalized Hermite normal form").  It is computed by linear algebra
+over Z: the integer HNF of the generators' shifts x^j*g up to a degree
+cap, flattened row-major so that a column's HNF pivot is its leading
+term, contains the basis once the cap is large enough.  The columns with
+minimal leading terms are tail-reduced and then certified by
+Buchberger's criterion (every input and every same-row S-vector reduces
+to zero); a failed certificate doubles the cap's margin and retries.
 
 Two reduction conventions coexist on purpose:
 
@@ -23,7 +28,6 @@ lies in the lattice.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -403,13 +407,6 @@ class _Tracked:
         self.key = _lt_key(vec) if vec else None
 
 
-def _normalize_sign(item: _Tracked) -> None:
-    if item.vec.leading_term().coeff < 0:
-        item.vec = -item.vec
-        if item.expr is not None:
-            item.expr = tuple(-e for e in item.expr)
-
-
 def _reduce_tracked(item: _Tracked, basis: list[_Tracked], track: bool) -> _Tracked:
     r, qs = _reduce(item.vec, [b.vec for b in basis], track)
     expr = item.expr
@@ -424,169 +421,31 @@ def _reduce_tracked(item: _Tracked, basis: list[_Tracked], track: bool) -> _Trac
     return _Tracked(r, expr)
 
 
-def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> list[_Tracked]:
-    """Buchberger completion with eviction-based continuous interreduction.
+def _precondition(items: list[_Tracked], n: int, cap: int, track: bool) -> list[_Tracked]:
+    """The integer HNF of every shift x^j g of degree <= cap.
 
-    Elements are placed one at a time, fully reduced against the current
-    basis (which keeps every coefficient under a pivot inside its
-    canonical range and stops the tails from swelling).  Placing an
-    element evicts the basis members whose leading terms it reduces;
-    evicted members re-enter the queue.  S-pairs are only formed between
-    elements sharing a pivot row, since the order makes every other
-    S-vector zero.  A final all-pairs check guards the pruning and
-    re-feeds the loop in the unexpected case.
+    Each shift is flattened row-major into Z^(n(cap+1)), so the bottom-most
+    pivot of a flattened column is its leading term.  Returns the nonzero
+    HNF columns in ascending leading-term order, with their expressions
+    over the inputs read from the HNF transform when ``track`` is set.
     """
-    budget = [max_steps]
-    basis: list[_Tracked] = []
-    pairs: list[tuple[tuple, int, int]] = []  # (precomputed key, i, j)
-    queue: list[tuple[tuple, int, _Tracked]] = []
-    seq = [0]
-
-    def push(item: _Tracked) -> None:
-        seq[0] += 1
-        heapq.heappush(queue, (item.key, seq[0], item))
-
-    for it in inputs:
-        if it.vec:
-            push(it)
-
-    def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RuntimeError("completion did not stabilize")
-
-    def place(item: _Tracked) -> None:
-        nonlocal pairs
-        item = _reduce_tracked(item, basis, track)
-        if not item.vec:
-            return
-        _normalize_sign(item)
-        row, deg, coeff = item.key
-        evicted = [
-            idx
-            for idx, b in enumerate(basis)
-            if b.key[0] == row and b.key[1] >= deg and b.key[2] >= coeff
-        ]
-        if evicted:
-            for idx in reversed(evicted):
-                push(basis[idx])
-                del basis[idx]
-            keep = [i for i in range(len(basis) + len(evicted)) if i not in evicted]
-            remap = {old: new for new, old in enumerate(keep)}
-            pairs = [
-                (key, remap[i], remap[j])
-                for key, i, j in pairs
-                if i in remap and j in remap
-            ]
-        basis.append(item)
-        new = len(basis) - 1
-        pairs.extend(
-            (tuple(sorted((basis[i].key, item.key))), i, new)
-            for i in range(new)
-            if basis[i].key[0] == row
-        )
-
-    while queue or pairs:
-        spend()
-        if queue:
-            place(heapq.heappop(queue)[2])
-            continue
-        pick = min(range(len(pairs)), key=lambda k: pairs[k][0])
-        _, i, j = pairs.pop(pick)
-        s = s_vector(basis[i].vec, basis[j].vec)
-        if not s:
-            continue
-        expr = None
-        if track:
-            mf, mg = _s_multipliers(basis[i].vec, basis[j].vec)
-            expr = tuple(mf * a - mg * b for a, b in zip(basis[i].expr, basis[j].expr))
-        push(_Tracked(s, expr))
-
-    while True:
-        # tail canonicalization; leading terms cannot move on a completed basis
-        changed = True
-        while changed:
-            spend()
-            changed = False
-            for idx in range(len(basis)):
-                others = basis[:idx] + basis[idx + 1 :]
-                red = _reduce_tracked(basis[idx], others, track)
-                if red.vec != basis[idx].vec:
-                    if not red.vec or red.key != basis[idx].key:
-                        raise AssertionError("tail reduction moved a leading term")
-                    basis[idx] = red
-                    changed = True
-
-        # safety net: confirm the Buchberger criterion before returning
-        vecs = [it.vec for it in basis]
-        leftovers = []
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                if basis[a].key[0] != basis[b].key[0]:
-                    continue
-                s = s_vector(vecs[a], vecs[b])
-                if s and _reduce(s, vecs, track=False)[0]:
-                    leftovers.append((a, b))
-        if not leftovers:
-            basis.sort(key=lambda it: it.key)
-            return basis
-        for a, b in leftovers:
-            expr = None
-            if track:
-                mf, mg = _s_multipliers(basis[a].vec, basis[b].vec)
-                expr = tuple(mf * x - mg * y for x, y in zip(basis[a].expr, basis[b].expr))
-            push(_Tracked(s_vector(basis[a].vec, basis[b].vec), expr))
-        while queue or pairs:
-            spend()
-            if queue:
-                place(heapq.heappop(queue)[2])
-                continue
-            pick = min(range(len(pairs)), key=lambda k: pairs[k][0])
-            _, i, j = pairs.pop(pick)
-            s = s_vector(basis[i].vec, basis[j].vec)
-            if not s:
-                continue
-            expr = None
-            if track:
-                mf, mg = _s_multipliers(basis[i].vec, basis[j].vec)
-                expr = tuple(
-                    mf * a - mg * b for a, b in zip(basis[i].expr, basis[j].expr)
-                )
-            push(_Tracked(s, expr))
-
-
-def _precondition(items: list[_Tracked], n: int, track: bool) -> list[_Tracked]:
-    """Replace generators by the integer HNF of their bounded x-shifts.
-
-    Z-unimodular column operations on {x^j g} preserve the generated
-    Z[x]-lattice, and the echelon output is far better behaved as
-    completion input than dense redundant generators.  Expressions over
-    the original inputs survive through the transformation.
-    """
-    if not items:
-        return items
-    top = max(it.vec.max_degree() for it in items)
-    bound = top + 1
-    width = top + bound + 1
-
+    width = cap + 1
     flat = []
     origin = []
     for idx, it in enumerate(items):
-        for j in range(bound + 1):
-            shifted = it.vec.shift(j)
+        blocks = [e.coeffs for e in it.vec.entries]
+        for j in range(cap - it.vec.max_degree() + 1):
             col = []
-            for e in shifted.entries:
-                col.extend(e.coeff(k) for k in range(width))
+            for cs in blocks:
+                col.extend((0,) * j + cs + (0,) * (width - j - len(cs)))
             flat.append(col)
             origin.append((idx, j))
-    h, u = pid_linalg._hnf_int(flat)
+    h, u = pid_linalg._hnf_int(flat, want_u=track)
     out = []
     for k in range(len(h)):
         if not any(h[k]):
             continue
-        entries = [
-            IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n)
-        ]
+        entries = [IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n)]
         expr = None
         if track:
             s = len(items[0].expr)
@@ -603,6 +462,85 @@ def _precondition(items: list[_Tracked], n: int, track: bool) -> list[_Tracked]:
     return out
 
 
+def _minimal_chain(cols: list[_Tracked]) -> list[_Tracked] | None:
+    """Drop the columns whose leading term a lower kept one divides.
+
+    ``cols`` come in ascending leading-term order.  Returns None unless,
+    in every row, each kept leading coefficient properly divides the one
+    kept before it, which a Groebner basis of one variable must satisfy.
+    """
+    kept: list[_Tracked] = []
+    for it in cols:
+        row, _, lc = it.key
+        prev = kept[-1].key if kept and kept[-1].key[0] == row else None
+        if prev is None:
+            kept.append(it)
+        elif prev[2] % lc == 0:
+            if prev[2] != lc:
+                kept.append(it)
+        elif lc % prev[2]:
+            return None
+    return kept
+
+
+def _certified(basis: list[_Tracked], inputs: list[_Tracked]) -> bool:
+    """Whether basis generates the inputs' lattice and passes Buchberger's test."""
+    vecs = [it.vec for it in basis]
+    if any(_reduce(it.vec, vecs, track=False)[0] for it in inputs):
+        return False
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            if basis[a].key[0] == basis[b].key[0]:
+                if _reduce(s_vector(vecs[a], vecs[b]), vecs, track=False)[0]:
+                    return False
+    return True
+
+
+def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> list[_Tracked]:
+    """The reduced Groebner basis of the inputs' Z[x]-lattice, by linear algebra.
+
+    Each round takes the integer HNF of the shifts of the inputs up to the
+    degree cap W = top + b, where top is the largest input degree and b
+    starts at 1 (``_precondition``).  It keeps the columns whose
+    leading terms are minimal, tail-canonicalizes them with ``_reduce``
+    and certifies the result: every input and every same-row S-vector
+    must reduce to zero.  A round whose leading coefficients do not form
+    a divisibility chain, or whose certificate fails, doubles b.  HNF
+    cells and reductions spend from ``max_steps``; running out raises
+    RuntimeError.
+    """
+    items = [it for it in inputs if it.vec]
+    if not items:
+        return []
+    n = items[0].vec.n
+    top = max(it.vec.max_degree() for it in items)
+    budget = max_steps
+    b = 1
+    while True:
+        cap = top + b
+        shape = (n * (cap + 1), sum(cap - it.vec.max_degree() + 1 for it in items))
+        budget -= shape[0] * shape[1]
+        cols = _precondition(items, n, cap, track)
+        basis = _minimal_chain(cols)
+        if basis is not None:
+            # canonical form only depends on the others' leading terms,
+            # so one pass leaves every tail reduced
+            for idx in range(len(basis)):
+                budget -= 1
+                red = _reduce_tracked(basis[idx], basis[:idx] + basis[idx + 1 :], track)
+                if red.key != basis[idx].key:
+                    raise AssertionError("tail reduction moved a leading term")
+                basis[idx] = red
+            if _certified(basis, items):
+                return basis
+        if budget < 0:
+            raise RuntimeError(
+                "completion did not stabilize: degree cap %d, last HNF %dx%d"
+                % (cap, shape[0], shape[1])
+            )
+        b *= 2
+
+
 def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
     """Canonical generalized Hermite normal form of the generated lattice."""
     gens = list(gens)
@@ -612,7 +550,7 @@ def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
         if g.n != n:
             raise DimensionError("mixed dimensions in generators")
     items = [_Tracked(g, None) for g in gens if g]
-    basis = _complete(_precondition(items, n, track=False), track=False)
+    basis = _complete(items, track=False)
     return GhnfBasis(n, [it.vec for it in basis])
 
 
@@ -631,7 +569,7 @@ def ghnf_track(
         if g:
             expr = tuple(IntPoly.const(1) if i == l else IntPoly() for i in range(s))
             items.append(_Tracked(g, expr))
-    basis = _complete(_precondition(items, n, track=True), track=True)
+    basis = _complete(items, track=True)
     return (
         GhnfBasis(n, [it.vec for it in basis]),
         tuple(it.expr for it in basis),
@@ -794,21 +732,12 @@ def enumerate_c(basis: GhnfBasis, degree_bound: int) -> tuple[list[LatVec], list
     x^j below the next pivot degree; C_oo adds every shift of the final
     block columns.  Both lists come back ordered by leading term.
     """
-    c_minus: list[LatVec] = []
-    c_inf: list[LatVec] = []
+    items = _c_minus_items(basis)
+    c_minus = [basis.columns[i].shift(k) for i, k in items]
+    c_inf = [v for v, (_, k) in zip(c_minus, items) if k <= degree_bound]
     for b in basis.blocks:
-        for j in range(b.size - 1):
-            col = basis.columns[b.start + j]
-            gap = b.degrees[j + 1] - b.degrees[j]
-            for k in range(gap):
-                shifted = col.shift(k)
-                c_minus.append(shifted)
-                if k <= degree_bound:
-                    c_inf.append(shifted)
         last = basis.columns[b.start + b.size - 1]
-        for k in range(degree_bound + 1):
-            c_inf.append(last.shift(k))
-    c_minus.sort(key=_lt_key)
+        c_inf.extend(last.shift(k) for k in range(degree_bound + 1))
     c_inf.sort(key=_lt_key)
     return c_minus, c_inf
 

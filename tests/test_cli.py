@@ -171,3 +171,15 @@ def test_internal_failure_exit_3(monkeypatch, capsys, exc):
     assert code == 3 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_exhausted_budget_exit_3(monkeypatch, capsys):
+    # this lattice needs a second round of the shift HNF; a budget of one
+    # step runs out after the first
+    import sigma_binomial.zx_lattice as zx
+
+    monkeypatch.setattr(zx._complete, "__defaults__", (1,))
+    code, out = call(["ghnf"], "-2, -2*x^2-3*x+5\n2*x^2+3*x+3, 3\n")
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: internal failure: completion did not stabilize: degree cap 3, last HNF 8x4\n"

@@ -2,10 +2,17 @@
 
 import itertools
 import random
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_binomial.pid_linalg import (
     IntMat,
     ModPolyMat,
+    _hnf_int,
+    _pivot_row_int,
     hnf_modpoly,
     int_lattice_contains,
     ker_int,
@@ -237,3 +244,50 @@ def test_standard_form_degree_discipline():
             if shape[0] >= 0:
                 assert shape not in seen
                 seen[shape] = j
+
+
+@pytest.fixture(scope="module")
+def sympy_hnf():
+    return pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
+
+
+@st.composite
+def int_matrices(draw):
+    """A list of columns: up to 5 rows, up to 6 columns, sparse small entries."""
+    rows = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-20, 20))
+    column = st.lists(entry, min_size=rows, max_size=rows)
+    return draw(st.lists(column, max_size=6)), rows
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(int_matrices())
+def test_hnf_int_against_sympy(sympy_hnf, matrix):
+    from sympy import Matrix
+
+    cols, rows = matrix
+    s = len(cols)
+    h, u = _hnf_int(cols)
+    # A*U = H with U unimodular
+    for k in range(s):
+        assert [sum(cols[j][r] * u[k][j] for j in range(s)) for r in range(rows)] == h[k]
+    if s:
+        assert abs(Matrix(u).det()) == 1
+    assert _hnf_int(cols, want_u=False) == (h, [])
+    # the shape: zero columns first, then increasing pivot rows with
+    # positive pivots and reduced entries in later columns
+    pivots = [_pivot_row_int(c) for c in h]
+    nonzero = [c for c, r in zip(h, pivots) if r >= 0]
+    live = [r for r in pivots if r >= 0]
+    assert pivots == [-1] * (s - len(live)) + live and live == sorted(set(live))
+    for k, c in enumerate(nonzero):
+        p = c[live[k]]
+        assert p > 0 and all(0 <= later[live[k]] < p for later in nonzero[k + 1 :])
+    # same Z-span as sympy's HNF, which is oriented differently
+    if s:
+        w = sympy_hnf(Matrix(rows, s, lambda r, c: cols[c][r]))
+        theirs = [[int(w[r, k]) for r in range(rows)] for k in range(w.cols)]
+    else:
+        theirs = []
+    assert all(int_lattice_contains(theirs, c) for c in nonzero)
+    assert all(int_lattice_contains(nonzero, c) for c in theirs)

@@ -1,8 +1,12 @@
 """Tests for Z[x]-lattice vectors, reduction, GHNF, syzygies, kernels."""
 
 import random
+import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V, rand_poly, rand_vec
 from sigma_binomial.polyzx import IntPoly, poly_from_str
@@ -223,3 +227,97 @@ def test_ghnf_track_expressions():
         for q, g in zip(expr, gens):
             acc = acc + q * g
         assert acc == col
+
+
+# ---------------------------------------------------------------------------
+# Properties against independent facts: lattice invariance, the GHNF
+# conditions, and the tracked expressions.
+
+PROPERTY = settings(max_examples=60, deadline=timedelta(seconds=2))
+
+polys = st.lists(st.integers(-9, 9), max_size=4).map(IntPoly)
+
+
+@st.composite
+def lattices(draw, max_n=3, max_gens=4):
+    """(n, generators) with entries of degree <= 3 and coefficients |c| <= 9."""
+    n = draw(st.integers(1, max_n))
+    vecs = st.lists(polys, min_size=n, max_size=n).map(LatVec)
+    return n, draw(st.lists(vecs, min_size=1, max_size=max_gens))
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_ghnf_invariant_under_unimodular_recombination(lattice, data):
+    n, gens = lattice
+    expected = ghnf(gens, n)
+    moved = data.draw(st.permutations(gens))
+    assert ghnf(moved, n) == expected
+    # elementary Z[x]-operations g_i <- -g_i and g_i <- g_i + p*g_j, i != j
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(moved) - 1))
+        j = data.draw(st.integers(0, len(moved) - 1))
+        if i == j:
+            moved[i] = -moved[i]
+        else:
+            moved[i] = moved[i] + data.draw(polys) * moved[j]
+    assert ghnf(moved, n) == expected
+
+
+@PROPERTY
+@given(lattices())
+def test_ghnf_output_verifies(lattice):
+    n, gens = lattice
+    basis = ghnf(gens, n)
+    ok, problems = verify_ghnf(basis)
+    assert ok, problems
+    assert all(contains(basis, g) for g in gens)
+
+
+@PROPERTY
+@given(lattices())
+def test_ghnf_track_columns_are_their_expressions(lattice):
+    n, gens = lattice
+    basis, exprs = ghnf_track(gens, n)
+    assert basis == ghnf(gens, n)
+    for col, expr in zip(basis.columns, exprs):
+        acc = LatVec.zero(n)
+        for q, g in zip(expr, gens):
+            acc = acc + q * g
+        assert acc == col
+
+
+def _square_tail(maxcoeff: int, trial: int) -> list[LatVec]:
+    """n = s = 4, degree-3 generators drawn from the tail seed 1, as the benchmark does."""
+    rng = random.Random(1)
+    for _ in range(trial):
+        for _ in range(4):
+            rand_vec(rng, 4, 3, maxcoeff)
+    return [rand_vec(rng, 4, 3, maxcoeff) for _ in range(4)]
+
+
+@pytest.mark.parametrize("maxcoeff, trial", [(10, 2), (1000, 3)])
+def test_ghnf_former_tail_timeouts(maxcoeff, trial):
+    # these took 28 s and more than 60 s with the pair-queue completion
+    gens = _square_tail(maxcoeff, trial)
+    start = time.perf_counter()
+    basis = ghnf(gens, 4)
+    assert time.perf_counter() - start < 2.0
+    ok, problems = verify_ghnf(basis)
+    assert ok, problems
+    assert all(contains(basis, g) for g in gens)
+    # and every column lies in the generated lattice
+    tracked, exprs = ghnf_track(gens, 4)
+    assert tracked == basis
+    for col, expr in zip(basis.columns, exprs):
+        assert sum((q * g for q, g in zip(expr, gens)), LatVec.zero(4)) == col
+
+
+def test_completion_budget_error_names_cap_and_shape():
+    from sigma_binomial import zx_lattice as zx
+
+    items = [zx._Tracked(g, None) for g in (V("-2", "2*x^2+3*x+3"), V("-2*x^2-3*x+5", "3"))]
+    with pytest.raises(RuntimeError, match=r"^completion did not stabilize: degree cap 3, last HNF 8x4$"):
+        zx._complete(items, False, max_steps=1)
+    # the default budget is enough
+    assert verify_ghnf(ghnf([it.vec for it in items], 2))[0]
