@@ -66,6 +66,7 @@ from .saturation import (
     SatWitnessZ,
     TrackedBasis,
     is_saturated,
+    mfactor,
     sat_full,
     sat_m,
     sat_p,
@@ -81,7 +82,6 @@ from .laurent import (
     NotReflexivePrime,
     PartialCharacter,
     UnitIdeal,
-    charset,
     dec_laurent,
     dimension,
     is_perfect,

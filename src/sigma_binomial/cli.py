@@ -27,8 +27,7 @@ BOOL_COMMANDS = {
     "is-perfect": laurent_mod.is_perfect,
 }
 CLOSURE_COMMANDS = {
-    "charset": laurent_mod.charset,
-    "proper": laurent_mod.charset,
+    "charset": laurent_mod.make_character,
     "reflexive-closure": laurent_mod.reflexive_closure,
     "wellmixed-closure": laurent_mod.wellmixed_closure,
     "perfect-closure": laurent_mod.perfect_closure,
@@ -66,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("is-saturated", "decide x-/Z-/M-/P-saturation of a lattice",
         **{"--kind": {"choices": ["x", "z", "m", "p"], "required": True}})
     add("charset", "characteristic set of a Laurent binomial system")
-    add("proper", "properness test / characteristic set")
     add("member", "membership of a binomial in a Laurent binomial ideal",
         **{"--query": {"required": True, "help": "binomial to test"}})
     add("reflexive-closure", "reflexive closure of a Laurent binomial ideal")
@@ -200,29 +198,19 @@ def _dispatch(args, sigma: SigmaConfig, text: str) -> int:
             return _emit_unit(args.json)
         return _emit_chain(result, args.json)
 
-    if cmd in BOOL_COMMANDS:
+    if cmd in BOOL_COMMANDS or cmd in ("member", "dimension"):
         system, n = textio.parse_laurent_system(text, args.nvars)
-        rho = laurent_mod.charset(system, sigma, n)
+        rho = laurent_mod.make_character(system, sigma, n)
         if is_unit(rho):
             return _emit_unit(args.json)
+        if cmd == "member":
+            query = textio.parse_laurent_binomial(args.query, n)
+            return _emit_bool(laurent_mod.member(query, rho), args.json)
+        if cmd == "dimension":
+            value = laurent_mod.dimension(rho)
+            print(json.dumps({"value": value}) if args.json else str(value))
+            return 0
         return _emit_bool(BOOL_COMMANDS[cmd](rho), args.json)
-
-    if cmd == "member":
-        system, n = textio.parse_laurent_system(text, args.nvars)
-        rho = laurent_mod.charset(system, sigma, n)
-        if is_unit(rho):
-            return _emit_unit(args.json)
-        query = textio.parse_laurent_binomial(args.query, n)
-        return _emit_bool(laurent_mod.member(query, rho), args.json)
-
-    if cmd == "dimension":
-        system, n = textio.parse_laurent_system(text, args.nvars)
-        rho = laurent_mod.charset(system, sigma, n)
-        if is_unit(rho):
-            return _emit_unit(args.json)
-        value = laurent_mod.dimension(rho)
-        print(json.dumps({"value": value}) if args.json else str(value))
-        return 0
 
     if cmd == "dec-laurent":
         system, n = textio.parse_laurent_system(text, args.nvars)

@@ -41,7 +41,6 @@ __all__ = [
     "is_unit",
     "normalize_binomial",
     "make_character",
-    "charset",
     "member",
     "prem_binomial",
     "is_prime",
@@ -224,11 +223,6 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     return _with_constants(_support_part(supports, n), consts, sigma)
 
 
-def charset(binomials, sigma: SigmaConfig, n: int | None = None):
-    """Characteristic set of [binomials]: the character's chain, or UNIT."""
-    return make_character(binomials, sigma, n)
-
-
 def member(b: LaurentBinomial, rho: PartialCharacter) -> bool:
     """Y^f - c lies in the ideal iff f is in the lattice and c = rho(f)."""
     if not b.support:
@@ -252,100 +246,95 @@ def prem_binomial(b: LaurentBinomial, rho: PartialCharacter) -> LaurentBinomial:
 
 
 def is_prime(rho: PartialCharacter) -> bool:
+    """I(rho) is prime iff its support lattice is Z-saturated."""
     return saturation.is_saturated(rho.basis, "z")
 
 
 def is_reflexive(rho: PartialCharacter) -> bool:
+    """I(rho) is reflexive iff its support lattice is x-saturated."""
     return saturation.is_saturated(rho.basis, "x")
 
 
-def _forced_wellmixed_binomials(rho: PartialCharacter):
-    """For each sat_Z generator (g, m), the binomial forced into any
-    well-mixed ideal containing I(rho): support (x - o_m) g with constant
-    a^(x - o_m) for a the principal m-th root of rho(m g).
+def is_wellmixed(rho: PartialCharacter) -> bool:
+    """Every binomial forced by well-mixedness is already a member.
+
+    M-saturation of the support follows: a member's support lies in the
+    lattice.
+    """
+    return not _wellmixed_forced(rho)
+
+
+def is_perfect(rho: PartialCharacter) -> bool:
+    """Reflexive and well-mixed: then no step of the perfect closure
+    adjoins anything, so it returns rho."""
+    return is_reflexive(rho) and is_wellmixed(rho)
+
+
+def _reflexive_forced(rho: PartialCharacter):
+    """sigma^{-1}-preimages of the XFactor witnesses: binomials in every
+    reflexive ideal containing I(rho), with supports outside its lattice."""
+    forced = []
+    for w in saturation.xfactor(rho.basis):
+        c = FieldConst.one()
+        for coeff, d in zip(w.e, rho.constants):
+            if coeff:
+                c = c * d**coeff
+        forced.append(LaurentBinomial(w.h, sigma_inv_pow(c, 1, rho.sigma)))
+    return forced
+
+
+def _wellmixed_forced(rho: PartialCharacter):
+    """The binomials forced into any well-mixed ideal containing I(rho)
+    that are not members: for each sat_Z generator (g, m), support
+    (x - o_m) g with constant a^(x - o_m) for a the principal m-th root
+    of rho(m g).
 
     The root choice is irrelevant because zeta_m^(x - o_m) = 1.
     """
-    tracked = saturation.sat_z(rho.basis)
     forced = []
-    for g, m in zip(tracked.basis.columns, tracked.multipliers):
-        if m == 1:
-            continue
+    for g, m, shift in saturation._m_shifts(rho.basis, rho.sigma):
         value = rho.value(m * g)
         if value is None:
             raise AssertionError("multiplier certificate violated")
         root = kth_roots(value, m)[0]
-        shift = IntPoly((-o_m(m, rho.sigma), 1))
-        support = shift * g
-        forced.append(LaurentBinomial(support, pow_zx(root, shift, rho.sigma)))
+        b = LaurentBinomial(shift * g, pow_zx(root, shift, rho.sigma))
+        if not member(b, rho):
+            forced.append(b)
     return forced
 
 
-def is_wellmixed(rho: PartialCharacter) -> bool:
-    """M-saturated support lattice plus generator-level constant agreement."""
-    if not saturation.is_saturated(rho.basis, "m", rho.sigma):
-        return False
-    for forced in _forced_wellmixed_binomials(rho):
-        if not member(forced, rho):
-            return False
-    return not is_unit(wellmixed_closure(rho.binomials, rho.sigma, rho.n))
+def _close(binomials, sigma: SigmaConfig, n: int | None, *steps):
+    """Adjoin the forced binomials of the first step that has any, until
+    none has; UNIT as soon as the ideal is improper.
 
-
-def is_perfect(rho: PartialCharacter) -> bool:
-    if not saturation.is_saturated(rho.basis, "p", rho.sigma):
-        return False
-    return not is_unit(perfect_closure(rho.binomials, rho.sigma, rho.n))
+    Every forced binomial lies in every closed ideal containing the
+    current one, so the order of adjoining does not change the result.
+    """
+    rho = make_character(binomials, sigma, n)
+    while not is_unit(rho):
+        for step in steps:
+            forced = step(rho)
+            if forced:
+                break
+        else:
+            return rho
+        rho = make_character(list(rho.binomials) + forced, sigma, rho.n)
+    return UNIT
 
 
 def reflexive_closure(binomials, sigma: SigmaConfig, n: int | None = None):
     """Reflexive closure: adjoin sigma^{-1}-preimages of XFactor witnesses."""
-    result = charset(binomials, sigma, n)
-    while True:
-        if is_unit(result):
-            return UNIT
-        wits = saturation.xfactor(result.basis)
-        if not wits:
-            return result
-        new = list(result.binomials)
-        for w in wits:
-            c = FieldConst.one()
-            for coeff, d in zip(w.e, result.constants):
-                if coeff:
-                    c = c * d**coeff
-            new.append(LaurentBinomial(w.h, sigma_inv_pow(c, 1, sigma)))
-        result = charset(new, sigma, result.n)
+    return _close(binomials, sigma, n, _reflexive_forced)
 
 
 def wellmixed_closure(binomials, sigma: SigmaConfig, n: int | None = None):
     """Well-mixed closure: force (x - o_m)-multiples until stable or unit."""
-    result = charset(binomials, sigma, n)
-    while True:
-        if is_unit(result):
-            return UNIT
-        forced = _forced_wellmixed_binomials(result)
-        new = charset(list(result.binomials) + forced, sigma, result.n)
-        if is_unit(new):
-            return UNIT
-        if new == result:
-            return result
-        result = new
+    return _close(binomials, sigma, n, _wellmixed_forced)
 
 
 def perfect_closure(binomials, sigma: SigmaConfig, n: int | None = None):
-    """Perfect closure: well-mixed closure of the reflexive closure."""
-    result = charset(binomials, sigma, n)
-    while True:
-        if is_unit(result):
-            return UNIT
-        step = reflexive_closure(result.binomials, sigma, result.n)
-        if is_unit(step):
-            return UNIT
-        step = wellmixed_closure(step.binomials, sigma, step.n)
-        if is_unit(step):
-            return UNIT
-        if step == result:
-            return result
-        result = step
+    """Perfect closure: the least ideal that is reflexive and well-mixed."""
+    return _close(binomials, sigma, n, _reflexive_forced, _wellmixed_forced)
 
 
 def _character_sort_key(rho: PartialCharacter):

@@ -1,10 +1,16 @@
 """x-, Z-, M-, and P-saturation of Z[x]-lattices.
 
-The x-saturation iterates the constant-term kernel construction; the
-Z-saturation iterates the prime-by-prime search for integer factors of
-lattice combinations, working over Z_p[x] where the lattice structure
-degenerates; the M-saturation adjoins (x - o_m) multiples of the
-Z-saturation generators; the P-saturation composes the previous two.
+Each kind has a witness function whose list is empty iff the lattice is
+saturated of that kind: ``xfactor`` finds h with x*h in the lattice from
+the integer kernel of the constant terms, ``zfactor`` finds h with p*h
+in the lattice for a prime p by working over Z_p[x], and ``mfactor``
+returns (x - o_m)*g for the Z-saturation columns g with multiplier
+m != 1.  Each saturation is one loop that adjoins the witnesses of the
+first kind that has any until none has (P: x and M; full: x and Z).
+Every witness lies in every saturated lattice containing the current
+one, so the order of adjoining does not change the result.  ``sat_z``
+keeps its own loop, because it also tracks per-column multipliers into
+the input lattice.
 
 Witnesses carry exact linear certificates: every SatWitnessX satisfies
 x*h = sum(e_l * column_l) with integer e, every SatWitnessZ satisfies
@@ -23,11 +29,9 @@ from .zx_lattice import (
     GhnfBasis,
     LatVec,
     _c_minus_items,
-    contains,
     ghnf,
     ghnf_track,
     grem,
-    lattice_equal,
 )
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "sat_x",
     "zfactor",
     "sat_z",
+    "mfactor",
     "sat_m",
     "sat_p",
     "sat_full",
@@ -92,13 +97,8 @@ def xfactor(basis: GhnfBasis) -> list[SatWitnessX]:
 
 
 def sat_x(gens, n: int | None = None) -> GhnfBasis:
-    """The x-saturation, by repeated adjunction of XFactor witnesses."""
-    basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    while True:
-        wits = xfactor(basis)
-        if not wits:
-            return basis
-        basis = ghnf(list(basis.columns) + [w.h for w in wits], basis.n)
+    """The x-saturation: adjoin XFactor witnesses until there are none."""
+    return _saturate(gens, n, "x")
 
 
 def _block_end_indices(basis: GhnfBasis) -> list[int]:
@@ -250,59 +250,72 @@ def sat_z(gens, n: int | None = None) -> TrackedBasis:
             mult.append(w.k * (lcm(*contributing) if contributing else 1))
 
 
-def sat_m(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
-    """The M-saturation: adjoin (x - o_m) multiples of sat_Z generators."""
+def _m_shifts(basis: GhnfBasis, sigma: SigmaConfig):
+    """(g, m, x - o_m) for each sat_Z column g whose multiplier m is not 1."""
+    tracked = sat_z(basis)
+    return [
+        (g, m, IntPoly((-o_m(m, sigma), 1)))
+        for g, m in zip(tracked.basis.columns, tracked.multipliers)
+        if m != 1
+    ]
+
+
+def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:
+    """Witnesses against M-saturation: the (x - o_m)*g outside the lattice,
+    for the sat_Z columns g with multiplier m != 1.  Empty iff the
+    lattice is M-saturated."""
+    shifted = (shift * g for g, _, shift in _m_shifts(basis, sigma))
+    return [h for h in shifted if grem(h, basis)]
+
+
+def _witnesses(basis: GhnfBasis, kinds: str, sigma: SigmaConfig | None) -> list[LatVec]:
+    """The witness vectors of the first of these kinds that has any."""
+    for kind in kinds:
+        if kind == "x":
+            hs = [w.h for w in xfactor(basis)]
+        elif kind == "z":
+            hs = [w.h for w in zfactor(basis)]
+        else:
+            hs = mfactor(basis, sigma)
+        if hs:
+            return hs
+    return []
+
+
+def _saturate(gens, n: int | None, kinds: str, sigma: SigmaConfig | None = None):
+    """The least lattice containing gens with no witnesses of these kinds."""
     basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    while True:
-        tracked = sat_z(basis)
-        extra = []
-        for g, m in zip(tracked.basis.columns, tracked.multipliers):
-            if m != 1:
-                shift = IntPoly((-o_m(m, sigma), 1))
-                extra.append(shift * g)
-        new = ghnf(list(basis.columns) + extra, basis.n)
-        if new.columns == basis.columns:
-            return basis
-        basis = new
+    while hs := _witnesses(basis, kinds, sigma):
+        basis = ghnf(list(basis.columns) + hs, basis.n)
+    return basis
+
+
+def sat_m(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
+    """The M-saturation: adjoin MFactor witnesses until there are none."""
+    return _saturate(gens, n, "m", sigma)
 
 
 def sat_p(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
-    """The P-saturation: joint fixed point of sat_x and sat_m."""
-    basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    while True:
-        new = sat_x(sat_m(basis, sigma))
-        if new.columns == basis.columns:
-            return basis
-        basis = new
+    """The P-saturation: least lattice that is both x- and M-saturated."""
+    return _saturate(gens, n, "xm", sigma)
 
 
 def sat_full(gens, n: int | None = None) -> GhnfBasis:
-    """The full saturation {f | a x^k f in L}: fixed point of sat_Z o sat_x."""
-    basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    while True:
-        new = sat_z(sat_x(basis)).basis
-        if new.columns == basis.columns:
-            return basis
-        basis = new
+    """The full saturation {f | a x^k f in L}: least lattice that is both
+    x- and Z-saturated."""
+    return _saturate(gens, n, "xz")
 
 
 def is_saturated(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None = None) -> bool:
-    """Decide x-/Z-/M-/P-saturation of a lattice given by a GHNF."""
-    if kind == "x":
-        return not xfactor(basis)
-    if kind == "z":
-        return not zfactor(basis)
-    if kind == "m":
-        if sigma is None:
-            raise ValueError("M-saturation needs a sigma configuration")
-        tracked = sat_z(basis)
-        for g, m in zip(tracked.basis.columns, tracked.multipliers):
-            if m == 1:
-                continue
-            shift = IntPoly((-o_m(m, sigma), 1))
-            if not contains(basis, shift * g):
-                return False
-        return True
-    if kind == "p":
-        return is_saturated(basis, "x") and is_saturated(basis, "m", sigma)
-    raise ValueError("unknown saturation kind %r" % kind)
+    """Decide x-/Z-/M-/P-saturation of a lattice given by a GHNF.
+
+    A lattice is saturated of a kind exactly when it has no witnesses of
+    that kind; P-saturated means both x- and M-saturated.  Kinds m and p
+    need sigma, because o_m depends on it.
+    """
+    kinds = {"x": "x", "z": "z", "m": "m", "p": "xm"}.get(kind)
+    if kinds is None:
+        raise ValueError("unknown saturation kind %r" % kind)
+    if "m" in kinds and sigma is None:
+        raise ValueError("M-saturation needs a sigma configuration")
+    return not _witnesses(basis, kinds, sigma)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .constants import FieldConst, const_from_str, const_to_str
 from .polyzx import IntPoly, poly_from_str, poly_to_str
 from .zx_lattice import GhnfBasis, LatVec
-from .laurent import LaurentBinomial, NotABinomial, normalize_binomial
+from .laurent import LaurentBinomial, make_character, normalize_binomial
 
 _VAR_RE = re.compile(r"^y(\d+)(?:\^\((.*)\))?$")
 
@@ -221,7 +221,6 @@ def laurent_system_to_str(binomials) -> str:
 
 def parse_plain_binomial(text: str, n: int):
     from .binomial import PlainBinomial
-    from .zx_lattice import LatVec as _LatVec
 
     terms = binomial_terms(text)
     for _, _, exps in terms:
@@ -233,7 +232,7 @@ def parse_plain_binomial(text: str, n: int):
         if not exps:
             raise ValueError("a constant alone is not a monomial: %r" % text)
         v = _exps_to_vec(exps, n)
-        return PlainBinomial(v, _LatVec.zero(n), None)
+        return PlainBinomial(v, LatVec.zero(n), None)
     if len(terms) != 2:
         raise ValueError("expected one or two terms in %r" % text)
     (s1, c1, e1), (s2, c2, e2) = terms
@@ -299,8 +298,6 @@ def laurent_components_to_str(components) -> str:
 
 
 def parse_laurent_components(text: str, sigma, n: int | None = None):
-    from .laurent import make_character
-
     if n is None:
         n = max_var_index(text)
     lines = strip_comments(text)

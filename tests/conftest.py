@@ -21,6 +21,16 @@ def rand_vec(rng, n, maxdeg=3, maxcoeff=10) -> LatVec:
     return LatVec(rand_poly(rng, maxdeg, maxcoeff) for _ in range(n))
 
 
+def saturation_systems(seed: int = 11, trials: int = 200):
+    """The criterion-9 saturation family: (n, gens, sigma) per trial."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randint(1, 3)
+        gens = [rand_vec(rng, n, 2, 6) for _ in range(rng.randint(1, 3))]
+        sigma = SigmaConfig.IDENTITY if rng.random() < 0.5 else SigmaConfig.CONJUGATION
+        yield n, gens, sigma
+
+
 def laurent_systems(seed: int = 13, trials: int = 200):
     """The criterion-9 Laurent family: (n, binomials, sigma) per trial."""
     rng = random.Random(seed)

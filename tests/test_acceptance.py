@@ -12,7 +12,7 @@ import random
 import sys
 import time
 
-from conftest import V, laurent_systems, rand_poly, rand_vec
+from conftest import V, laurent_systems, rand_poly, rand_vec, saturation_systems
 from sigma_binomial.cli import run
 from sigma_binomial.constants import (
     FieldConst,
@@ -241,11 +241,7 @@ def test_criterion_9_property_suite():
     print("criterion 9: ghnf family (200 instances) ok")
 
     # --- saturations -----------------------------------------------------
-    rng = random.Random(11)
-    for trial in range(200):
-        n = rng.randint(1, 3)
-        gens = [rand_vec(rng, n, 2, 6) for _ in range(rng.randint(1, 3))]
-        sigma = ID if rng.random() < 0.5 else CONJ
+    for n, gens, sigma in saturation_systems():
         base = ghnf(gens, n)
         sx = sat_x(gens, n)
         sz = sat_z(gens, n)

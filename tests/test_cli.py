@@ -86,7 +86,7 @@ def test_kernel():
 def test_charset_and_unit_exit():
     code, out = call(["charset"], "y1^(2) - 1\ny1^(4) - 1\n")
     assert code == 0 and out.strip() == "y1^(2) - 1"
-    code, out = call(["proper"], "y1 - 1\ny1 - 2\n")
+    code, out = call(["charset"], "y1 - 1\ny1 - 2\n")
     assert code == 1 and out.strip() == "unit"
 
 

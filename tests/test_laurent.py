@@ -12,7 +12,6 @@ from sigma_binomial.laurent import (
     LaurentBinomial,
     NotABinomial,
     NotReflexivePrime,
-    charset,
     dec_laurent,
     dimension,
     is_perfect,
@@ -165,7 +164,7 @@ def test_unit_closures_example_522():
     sys522, n = parse_laurent_system(SYS_522)
     assert is_unit(wellmixed_closure(sys522, ID, n))
     assert is_unit(perfect_closure(sys522, ID, n))
-    rho = charset(sys522, ID, n)
+    rho = make_character(sys522, ID, n)
     assert not is_unit(rho)
     assert not is_wellmixed(rho)
     assert not is_perfect(rho)
@@ -209,7 +208,7 @@ def test_closure_lattices_randomized():
         if not system:
             continue
         sigma = ID if rng.random() < 0.5 else CONJ
-        rho = charset(system, sigma, n)
+        rho = make_character(system, sigma, n)
         if is_unit(rho):
             continue
         supports = [b.support for b in system]
@@ -222,6 +221,30 @@ def test_closure_lattices_randomized():
         pf = perfect_closure(system, sigma, n)
         if not is_unit(pf):
             assert lattice_equal(pf.basis, sat_p(supports, sigma, n))
+
+
+def test_predicates_agree_with_closures():
+    """On the criterion-9 Laurent family, each predicate holds exactly
+    when its closure returns the ideal itself, and every proper closure
+    satisfies its predicate."""
+    pairs = [
+        (is_reflexive, reflexive_closure),
+        (is_wellmixed, wellmixed_closure),
+        (is_perfect, perfect_closure),
+    ]
+    held = [0] * len(pairs)
+    proper = 0
+    for n, system, sigma in laurent_systems():
+        rho = make_character(system, sigma, n)
+        if is_unit(rho):
+            continue
+        proper += 1
+        for i, (holds, close) in enumerate(pairs):
+            closed = close(rho.binomials, sigma, n)
+            assert holds(rho) == (closed == rho), (holds.__name__, system)
+            assert is_unit(closed) or holds(closed), (holds.__name__, system)
+            held[i] += closed == rho
+    assert all(0 < count < proper for count in held), (held, proper)
 
 
 def test_wellmixed_root_independence(monkeypatch):

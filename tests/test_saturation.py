@@ -2,7 +2,9 @@
 
 import random
 
-from conftest import V, rand_vec
+import pytest
+
+from conftest import V, rand_vec, saturation_systems
 from sigma_binomial.constants import SigmaConfig
 from sigma_binomial.zx_lattice import LatVec, contains, ghnf, lattice_equal, member_oracle
 from sigma_binomial.saturation import (
@@ -107,6 +109,31 @@ def test_is_saturated_kinds():
     assert is_saturated(ghnf(C71_SAT, 3), "x")
     assert not is_saturated(ghnf(C75, 2), "z")
     assert is_saturated(ghnf(C75_SAT, 2), "z")
+
+
+def test_is_saturated_p_needs_sigma():
+    with pytest.raises(ValueError):
+        is_saturated(ghnf(C71, 3), "p")
+    with pytest.raises(ValueError):
+        is_saturated(ghnf(C71_SAT, 3), "m")
+
+
+def test_is_saturated_agrees_with_saturation():
+    """On the criterion-9 family, a lattice is k-saturated exactly when
+    its k-saturation returns its own GHNF."""
+    sats = {
+        "x": lambda b, sigma: sat_x(b),
+        "m": sat_m,
+        "p": sat_p,
+    }
+    held = {kind: 0 for kind in sats}
+    for n, gens, sigma in saturation_systems():
+        basis = ghnf(gens, n)
+        for kind, sat in sats.items():
+            fixed = sat(basis, sigma).columns == basis.columns
+            assert is_saturated(basis, kind, sigma) == fixed, (kind, gens)
+            held[kind] += fixed
+    assert all(0 < count < 200 for count in held.values()), held
 
 
 def test_saturation_properties_randomized():
