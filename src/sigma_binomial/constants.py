@@ -130,11 +130,16 @@ def pow_zx(c: FieldConst, e: IntPoly, sigma: SigmaConfig) -> FieldConst:
     return FieldConst(((p, exp * e1) for p, exp in c.factors), c.turn * e(-1))
 
 
-def kth_roots(c: FieldConst, k: int) -> list[FieldConst]:
-    """All k-th roots: the principal root times the k-th roots of unity."""
+def principal_root(c: FieldConst, k: int) -> FieldConst:
+    """The k-th root with every exponent and the turn divided by k."""
     if k < 1:
         raise DegenerateInput("root order must be positive")
-    principal = FieldConst(((p, e / k) for p, e in c.factors), c.turn / k)
+    return FieldConst(((p, e / k) for p, e in c.factors), c.turn / k)
+
+
+def kth_roots(c: FieldConst, k: int) -> list[FieldConst]:
+    """All k-th roots: the principal root times the k-th roots of unity."""
+    principal = principal_root(c, k)
     return [
         FieldConst(principal.factors, principal.turn + Fraction(l, k))
         for l in range(k)

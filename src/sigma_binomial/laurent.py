@@ -10,6 +10,7 @@ into polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .constants import (
@@ -18,6 +19,7 @@ from .constants import (
     kth_roots,
     o_m,
     pow_zx,
+    principal_root,
     sigma_inv_pow,
 )
 from .polyzx import IntPoly
@@ -78,6 +80,11 @@ class UnitIdeal:
 
 
 UNIT = UnitIdeal()
+
+# Root choices dec_laurent may enumerate on one level.  The criterion-9
+# Laurent family needs at most 243 (trial 101, whose decomposition has 27
+# components); the bound refuses the k-th roots of a large k.
+_MAX_ROOT_CHOICES = 4096
 
 
 def is_unit(result) -> bool:
@@ -296,7 +303,7 @@ def _wellmixed_forced(rho: PartialCharacter):
         value = rho.value(m * g)
         if value is None:
             raise AssertionError("multiplier certificate violated")
-        root = kth_roots(value, m)[0]
+        root = principal_root(value, m)
         b = LaurentBinomial(shift * g, pow_zx(root, shift, rho.sigma))
         if not member(b, rho):
             forced.append(b)
@@ -357,6 +364,10 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
     and every system of the next level has the same supports.  So
     ``zfactor`` and the tracked completion run once per level, and each
     root choice only evaluates the constant part of ``make_character``.
+
+    A level with more than ``_MAX_ROOT_CHOICES`` root choices raises
+    RuntimeError before any root is listed: a witness order k can be a
+    large prime or an unfactored composite.
     """
     start = reflexive_closure(binomials, sigma, n)
     if is_unit(start):
@@ -367,6 +378,12 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
         wits = saturation.zfactor(basis)
         if not wits:
             break
+        choices = len(level) * math.prod(w.k for w in wits)
+        if choices > _MAX_ROOT_CHOICES:
+            raise RuntimeError(
+                "decomposition budget exhausted: %d root choices on one level, more than %d"
+                % (choices, _MAX_ROOT_CHOICES)
+            )
         part = _support_part(list(basis.columns) + [w.h for w in wits], start.n)
         children = []
         for rho in level:

@@ -176,21 +176,31 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
+def _trial_divide(n: int) -> tuple[list[int], int]:
+    """(the primes below 1000 divided out of |n|, ascending; the cofactor).
+
+    The cofactor is 1, a prime larger than every listed prime, or a
+    number with no prime factor below 1000.
+    """
+    n = abs(n)
+    small = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            small.append(p)
+            while n % p == 0:
+                n //= p
+    return small, n
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n|, ascending.
 
     Primes below 1000 are divided out; the cofactor is split by
     Pollard-Brent rho, each part tested by ``_is_prime``.
     """
-    n = abs(n)
-    out = []
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
+    out, n = _trial_divide(n)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -12,9 +12,19 @@ one, so the order of adjoining does not change the result.  ``sat_z``
 keeps its own loop, because it also tracks per-column multipliers into
 the input lattice.
 
+``zfactor`` never factors more than trial division allows.  Every prime
+p with p*h in the lattice for some h outside it divides q, the product
+of the blocks' first leading coefficients.  The primes below 1000 are
+tested one by one over Z_p[x]; so is the cofactor r of q when it is a
+prime.  A composite r is tested as a whole: the lattice has r-torsion
+iff L : r = {h | r*h in L} is larger than L, and L : r is read off one
+kernel computation.  Its GHNF columns outside L are then the witnesses,
+each with its least multiplier into L.
+
 Witnesses carry exact linear certificates: every SatWitnessX satisfies
 x*h = sum(e_l * column_l) with integer e, every SatWitnessZ satisfies
-k*h = sum(e_l * column_l) with e over Z[x] and k a prime.
+k*h = sum(e_l * column_l) with e over Z[x] and k either a prime or a
+composite with no prime factor below 1000.
 """
 
 from __future__ import annotations
@@ -24,14 +34,16 @@ from math import lcm
 
 from . import pid_linalg
 from .constants import SigmaConfig, o_m
-from .polyzx import IntPoly, ModPoly, mod_reduce, prime_factors
+from .polyzx import IntPoly, ModPoly, _is_prime, _trial_divide, mod_reduce
 from .zx_lattice import (
     GhnfBasis,
     LatVec,
     _c_minus_items,
+    gker,
     ghnf,
     ghnf_track,
     grem,
+    grem_track,
 )
 
 __all__ = [
@@ -60,7 +72,11 @@ class SatWitnessX:
 
 @dataclass(frozen=True)
 class SatWitnessZ:
-    """h outside the lattice with k*h = sum(e_l * column_l) inside it."""
+    """h outside the lattice with k*h = sum(e_l * column_l) inside it.
+
+    k is a prime, or a composite with no prime factor below 1000 whose
+    prime factors were never computed.
+    """
 
     h: LatVec
     k: int
@@ -202,57 +218,99 @@ def _zfactor_prime(basis: GhnfBasis, p: int) -> list[SatWitnessZ]:
     return out
 
 
+def _order(basis: GhnfBasis, h: LatVec) -> int:
+    """The least d > 0 with d*h in the lattice, for h of finite order.
+
+    The last entries c of the relations among the columns and h generate
+    the ideal {c | c*h in L}; the first column of its GHNF is a constant,
+    because the ideal contains one, and that constant generates its
+    intersection with Z.
+    """
+    ideal = [LatVec([rel.entries[-1]]) for rel in gker(list(basis.columns) + [h])]
+    return ghnf(ideal, 1).columns[0].entries[0].coeff(0)
+
+
+def _zfactor_colon(basis: GhnfBasis, r: int) -> list[SatWitnessZ]:
+    """The GHNF columns of L : r = {h | r*h in L} outside L, each with k
+    its least multiplier into L, a divisor of r.
+
+    Each relation (a, b) among the columns and r*e_1, ..., r*e_n gives
+    r*(-b) = sum(a_l * column_l), and the -b generate L : r.
+    """
+    cols = list(basis.columns)
+    units = [r * LatVec.unit(basis.n, row) for row in range(basis.n)]
+    quotient = [-LatVec(rel.entries[len(cols):]) for rel in gker(cols + units)]
+    if not any(grem(h, basis) for h in quotient):
+        return []
+    out = []
+    for h in ghnf(cols + quotient, basis.n).columns:
+        if grem(h, basis):
+            k = _order(basis, h)
+            rem, e = grem_track(k * h, basis)
+            if rem:
+                raise AssertionError("ZFactor certificate violated")
+            out.append(SatWitnessZ(h, k, e))
+    return out
+
+
 def zfactor(basis: GhnfBasis) -> list[SatWitnessZ]:
     """Witnesses against Z-saturation; empty iff the lattice is Z-saturated.
 
-    Only prime factors of the product of the blocks' first leading
-    coefficients matter; the witnesses of the first prime that yields
-    any are returned and the remaining primes wait for the next round.
+    Only divisors of q, the product of the blocks' first leading
+    coefficients, matter.  The primes below 1000 dividing q are tried in
+    ascending order, then the cofactor r: by itself over Z_r[x] when it
+    is a prime, else through L : r without factoring it.  The witnesses
+    of the first that yields any are returned; the rest wait for the
+    next round.
     """
-    if not basis.columns:
-        return []
     q = 1
     for b in basis.blocks:
         q *= b.leading_coeffs[0]
-    if q == 1:
-        return []
-    for p in prime_factors(q):
+    small, r = _trial_divide(q)
+    for p in small:
         wits = _zfactor_prime(basis, p)
         if wits:
             return wits
-    return []
+    if r == 1:
+        return []
+    if _is_prime(r):
+        return _zfactor_prime(basis, r)
+    return _zfactor_colon(basis, r)
+
+
+def _lcm_used(mult, expr: tuple[IntPoly, ...]) -> int:
+    """lcm of the multipliers of the inputs that expr uses."""
+    return lcm(*(m for m, e in zip(mult, expr) if e))
+
+
+def _sat_z_canonical(basis: GhnfBasis) -> TrackedBasis:
+    """sat_z of a lattice given by its canonical GHNF, as ``ghnf`` returns it.
+
+    Each round adjoins the ZFactor witnesses, whose multiplier is k times
+    those of the columns their certificate uses, and completes once.
+    """
+    mult = (1,) * len(basis.columns)
+    while wits := zfactor(basis):
+        current = list(basis.columns) + [w.h for w in wits]
+        current_mult = mult + tuple(w.k * _lcm_used(mult, w.e) for w in wits)
+        basis, exprs = ghnf_track(current, basis.n)
+        mult = tuple(_lcm_used(current_mult, expr) for expr in exprs)
+    return TrackedBasis(basis, mult)
 
 
 def sat_z(gens, n: int | None = None) -> TrackedBasis:
     """The Z-saturation with per-column multipliers into the input lattice."""
     if isinstance(gens, GhnfBasis):
-        current = list(gens.columns)
-        n = gens.n
-    else:
-        current = [g for g in gens if g]
-        if n is None:
-            n = current[0].n if current else 0
-    mult = [1] * len(current)
-    while True:
-        basis, exprs = ghnf_track(current, n)
-        basis_mult = []
-        for expr in exprs:
-            contributing = [mult[l] for l in range(len(current)) if expr[l]]
-            basis_mult.append(lcm(*contributing) if contributing else 1)
-        wits = zfactor(basis)
-        if not wits:
-            return TrackedBasis(basis, tuple(basis_mult))
-        current = list(basis.columns)
-        mult = basis_mult
-        for w in wits:
-            contributing = [basis_mult[l] for l in range(len(basis.columns)) if w.e[l]]
-            current.append(w.h)
-            mult.append(w.k * (lcm(*contributing) if contributing else 1))
+        gens, n = gens.columns, gens.n
+    return _sat_z_canonical(ghnf(gens, n))
 
 
 def _m_shifts(basis: GhnfBasis, sigma: SigmaConfig):
-    """(g, m, x - o_m) for each sat_Z column g whose multiplier m is not 1."""
-    tracked = sat_z(basis)
+    """(g, m, x - o_m) for each sat_Z column g whose multiplier m is not 1.
+
+    basis is the canonical GHNF of its lattice, so it is not completed again.
+    """
+    tracked = _sat_z_canonical(basis)
     return [
         (g, m, IntPoly((-o_m(m, sigma), 1)))
         for g, m in zip(tracked.basis.columns, tracked.multipliers)

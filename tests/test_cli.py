@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -183,3 +184,27 @@ def test_exhausted_budget_exit_3(monkeypatch, capsys):
     assert code == 3 and out == ""
     err = capsys.readouterr().err
     assert err == "error: internal failure: completion did not stabilize: degree cap 3, last HNF 8x4\n"
+
+
+# a product of primes of 59 and 60 bits, and the Mersenne prime 2^61 - 1
+LARGE_ORDERS = [576460752303435851 * 1152921504606914869, 2**61 - 1]
+
+
+@pytest.mark.parametrize("k", LARGE_ORDERS)
+def test_dec_laurent_refuses_large_root_order(capsys, k):
+    # y1^k - 1 has k components; listing the k-th roots is refused
+    start = time.perf_counter()
+    code, out = call(["dec-laurent"], "y1^(%d) - 1\n" % k)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k", LARGE_ORDERS)
+def test_wellmixed_closure_large_multiplier(k):
+    # the forced binomial needs only the principal k-th root
+    start = time.perf_counter()
+    code, out = call(["wellmixed-closure"], "y1^(%d) - 1\n" % k)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == "y1^(%d) - 1\ny1^(x+%d) - 1\n" % (k, k - 1)

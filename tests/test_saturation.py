@@ -1,13 +1,29 @@
 """Tests for the four lattice saturations and their witnesses."""
 
+import importlib.util
+import math
 import random
+import time
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V, rand_vec, saturation_systems
 from sigma_binomial.constants import SigmaConfig
-from sigma_binomial.zx_lattice import LatVec, contains, ghnf, lattice_equal, member_oracle
+from sigma_binomial.polyzx import IntPoly, _is_prime, prime_factors
+from sigma_binomial.zx_lattice import (
+    LatVec,
+    contains,
+    ghnf,
+    lattice_equal,
+    member_oracle,
+    verify_ghnf,
+)
 from sigma_binomial.saturation import (
+    _zfactor_prime,
     is_saturated,
     sat_full,
     sat_m,
@@ -180,3 +196,126 @@ def test_sat_x_oracle_property():
         if v and sx.columns:
             bound = v.max_degree() + max(c.max_degree() for c in sx.columns) + 1
             assert contains(sx, v) == member_oracle(list(sx.columns), v, bound)
+
+
+# ---------------------------------------------------------------------------
+# zfactor past trial division: a composite cofactor of the leading
+# coefficients is tested through L : r, never factored.
+
+
+def _bench_gen():
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sat_tail(trial: int) -> list[LatVec]:
+    """n = s = 3, degree-3 generators with entries up to 1000 from the tail seed 1."""
+    rng = random.Random(1)
+    for _ in range(trial):
+        for _ in range(3):
+            rand_vec(rng, 3, 3, 1000)
+    return [rand_vec(rng, 3, 3, 1000) for _ in range(3)]
+
+
+@pytest.mark.parametrize("trial, pool_index", [(3, 408), (4, 409)])
+def test_sat_z_former_factoring_hangs(trial, pool_index):
+    # the products of their first leading coefficients have 149 and 192
+    # bits, and factoring them hung in Pollard-Brent
+    gens = _sat_tail(trial)
+    instance = _bench_gen().saturate_pool()[pool_index]
+    assert instance["op"] == "sat_z"
+    assert [[list(e.coeffs) for e in g.entries] for g in gens] == instance["gens"]
+    start = time.perf_counter()
+    tracked = sat_z(gens, 3)
+    assert time.perf_counter() - start < 1.0
+    ok, problems = verify_ghnf(tracked.basis)
+    assert ok, problems
+    assert all(contains(tracked.basis, g) for g in gens)
+    orig = ghnf(gens, 3)
+    for g, m in zip(tracked.basis.columns, tracked.multipliers):
+        assert m >= 1 and contains(orig, m * g)
+
+
+def test_sat_z_composite_torsion():
+    p1, p2 = 576460752303435851, 1152921504606914869  # primes of 59 and 60 bits
+    assert _is_prime(p1) and _is_prime(p2)
+    start = time.perf_counter()
+    tracked = sat_z([V(str(p1 * p2)), V("x")], 1)
+    assert time.perf_counter() - start < 1.0
+    assert tracked.basis.columns == (V("1"),)
+    assert tracked.multipliers == (p1 * p2,)
+    wits = zfactor(ghnf([V(str(p1 * p2)), V("x")], 1))
+    assert wits and all(w.k == p1 * p2 for w in wits)
+
+
+def test_zfactor_colon_least_order():
+    # 1022117 = 1009 * 1013 and the torsion is 1009 * (1013x - 1): the
+    # colon test returns that one column with its least multiplier
+    basis = ghnf([V("1022117*x-1009")], 1)
+    wits = zfactor(basis)
+    assert [(w.h, w.k, w.e) for w in wits] == [(V("1013*x-1"), 1009, (IntPoly((1,)),))]
+    tracked = sat_z(basis)
+    assert tracked.basis.columns == (V("1013*x-1"),) and tracked.multipliers == (1009,)
+
+
+def _zfactor_by_primes(basis):
+    """The prime-by-prime ZFactor: factor q completely, try each prime."""
+    q = math.prod(b.leading_coeffs[0] for b in basis.blocks)
+    for p in prime_factors(q):
+        wits = _zfactor_prime(basis, p)
+        if wits:
+            return wits
+    return []
+
+
+def _sat_z_by_primes(gens, n):
+    basis = ghnf(gens, n)
+    while wits := _zfactor_by_primes(basis):
+        basis = ghnf(list(basis.columns) + [w.h for w in wits], n)
+    return basis
+
+
+_MID_PRIMES = [p for p in range(1009, 10**5, 2) if _is_prime(p)][::40]
+
+
+@st.composite
+def cofactor_lattices(draw):
+    """(n, generators) whose first leading coefficients have a composite
+    cofactor, a product of two primes in [1009, 10^5].
+
+    The generators are triangular, (c1*f1, 0) and (h, c2*f2), so the
+    blocks lead with c1*lc(f1) and c2*lc(f2).  Each f has constant term
+    +-1, so the contents c1 and c2 decide whether there is torsion.
+    """
+    p1, p2 = draw(st.lists(st.sampled_from(_MID_PRIMES), min_size=2, max_size=2, unique=True))
+    n = draw(st.integers(1, 2))
+    big = st.sampled_from([1, 1, 1, p1, p2, p1 * p2])
+    small = st.integers(-4, 4)
+
+    def poly(lead):
+        lower = [draw(st.sampled_from([1, -1]))] + draw(st.lists(small, max_size=1))
+        return IntPoly(lower + [lead])
+
+    first = [draw(big) * poly(p1 * p2 * draw(st.integers(1, 6)))] + [IntPoly()] * (n - 1)
+    gens = [LatVec(first)]
+    if n == 2:
+        lead = draw(st.sampled_from([1, p1, p2])) * draw(st.integers(1, 6))
+        gens.append(LatVec([poly(draw(small)), draw(big) * poly(lead)]))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(cofactor_lattices())
+def test_zfactor_agrees_with_prime_by_prime(lattice):
+    n, gens = lattice
+    basis = ghnf(gens, n)
+    wits = zfactor(basis)
+    assert (wits == []) == (_zfactor_by_primes(basis) == [])
+    for w in wits:
+        assert w.k * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
+        assert not contains(basis, w.h)
+    assert sat_z(gens, n).basis == _sat_z_by_primes(gens, n)
