@@ -14,9 +14,7 @@ from .polyzx import (
     IntPoly,
     ModPoly,
     ext_gcd,
-    lift,
     mod_reduce,
-    modpoly_divrem,
     poly_from_str,
     poly_to_str,
 )
@@ -35,21 +33,12 @@ from .zx_lattice import (
     grem,
     grem_track,
     lattice_equal,
-    leading_term,
     member_oracle,
-    rank,
     s_vector,
     syzygy_basis,
     verify_ghnf,
 )
-from .pid_linalg import (
-    IntMat,
-    ModPolyMat,
-    hnf_modpoly,
-    ker_int,
-    ker_modpoly,
-    scalar_kernel,
-)
+from .pid_linalg import hnf_modpoly, ker_int, scalar_kernel
 from .constants import (
     FieldConst,
     SigmaConfig,
@@ -58,7 +47,6 @@ from .constants import (
     kth_roots,
     o_m,
     pow_zx,
-    sigma_apply,
     sigma_inv_pow,
 )
 from .saturation import (

@@ -104,13 +104,6 @@ class FieldConst:
         return const_to_str(self)
 
 
-def sigma_apply(c: FieldConst, sigma: SigmaConfig) -> FieldConst:
-    """Apply the automorphism once."""
-    if sigma is SigmaConfig.IDENTITY:
-        return c
-    return FieldConst(c.factors, -c.turn)
-
-
 def sigma_inv_pow(c: FieldConst, k: int, sigma: SigmaConfig) -> FieldConst:
     """sigma^(-k) of c; conjugation is an involution, so parity decides."""
     if sigma is SigmaConfig.IDENTITY or k % 2 == 0:

@@ -1,66 +1,31 @@
-"""Hermite normal forms and kernels over the PIDs Z and Z_p[x].
+"""Hermite normal forms and kernels over the Euclidean domains Z and Z_p[x].
 
-All matrices are column-oriented to match the lattice convention used
-throughout the package: a matrix is a list of columns, the pivot of a
-column is its bottom-most nonzero entry, and elimination works on
-columns only.  The Z_p-scalar kernel of a Z_p[x] matrix is computed via
-the standard-form reduction that only permits column exchanges and
-scalar column additions.
+All matrices are lists of columns, to match the lattice convention used
+throughout the package: the pivot of a column is its bottom-most
+nonzero entry, and elimination works on columns only.
+
+One elimination loop, ``_hnf``, serves both rings.  They differ only in
+two choices:
+
+- the reducer of a row, the live column whose entry there is least:
+  least |a| (the first such in live-list order) with the nearest
+  quotient over Z, least (degree, column index) with the polynomial
+  quotient over Z_p[x];
+- the unit that normalises a pivot: its sign over Z, the inverse of its
+  leading coefficient over Z_p[x].
+
+The kernel of a matrix is read off the zero columns of its HNF.  The
+Z_p-scalar kernel of a Z_p[x] matrix is computed separately, by the
+standard-form reduction that only permits column exchanges and scalar
+column additions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .polyzx import DegenerateInput, ModPoly
+from .polyzx import ModPoly
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Rectangular integer matrix, stored as a tuple of columns."""
-
-    rows: int
-    cols: int
-    columns: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_columns(cls, columns) -> "IntMat":
-        columns = tuple(tuple(c) for c in columns)
-        if columns and len({len(c) for c in columns}) != 1:
-            raise DegenerateInput("ragged integer matrix")
-        rows = len(columns[0]) if columns else 0
-        return cls(rows, len(columns), columns)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMat":
-        rows = [tuple(r) for r in rows]
-        cols = tuple(tuple(r[j] for r in rows) for j in range(len(rows[0]))) if rows else ()
-        return cls.from_columns(cols)
-
-
-@dataclass(frozen=True)
-class ModPolyMat:
-    """Rectangular matrix over Z_p[x], stored as a tuple of columns."""
-
-    p: int
-    rows: int
-    cols: int
-    columns: tuple[tuple[ModPoly, ...], ...]
-
-    @classmethod
-    def from_columns(cls, p: int, columns) -> "ModPolyMat":
-        columns = tuple(tuple(c) for c in columns)
-        if columns and len({len(c) for c in columns}) != 1:
-            raise DegenerateInput("ragged matrix")
-        for col in columns:
-            for entry in col:
-                if entry.p != p:
-                    raise DegenerateInput("mixed moduli in matrix")
-        rows = len(columns[0]) if columns else 0
-        return cls(p, rows, len(columns), columns)
-
-
-def _pivot_row_int(col) -> int:
+def _pivot_row(col) -> int:
     """Index of the bottom-most nonzero entry, or -1 for a zero column."""
     for i in range(len(col) - 1, -1, -1):
         if col[i]:
@@ -68,27 +33,26 @@ def _pivot_row_int(col) -> int:
     return -1
 
 
-def _hnf_int(
-    columns: list[list[int]], want_u: bool = True
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Column HNF over Z with transformation: returns (H, U), A*U = H.
+def _hnf(columns, want_u, zero, one, size, near, unit):
+    """Column HNF with transformation over a Euclidean domain: (H, U), A*U = H.
 
-    U is unimodular.  Zero columns of H come first; pivot columns follow
-    with strictly increasing (bottom-most) pivot rows and positive
-    pivots, and each entry of a pivot row in a later column lies in
-    [0, pivot).  H is unique for the Z-span of the columns; U is not.
+    U is invertible.  Zero columns of H come first; pivot columns follow
+    with strictly increasing (bottom-most) pivot rows and normal pivots,
+    and each entry of a pivot row in a later column is its remainder
+    under ``divmod`` by the pivot.
 
-    Rows are eliminated bottom first by Euclid steps: the live column
-    with the smallest entry in the row reduces the others by the nearest
-    quotient until one is left.  As soon as that pivot is fixed, the
-    pivot columns fixed before it are reduced modulo it, which keeps
-    their entries from swelling.  U is only built when ``want_u`` is
-    set; otherwise it comes back as an empty list.
+    Rows are eliminated bottom first by Euclid steps: the live column j
+    with the least ``size(entry, j)`` in the row reduces the others by
+    ``near(entry, its entry)`` until one is left.  As soon as that pivot
+    is fixed and scaled by ``unit(pivot)``, the pivot columns fixed
+    before it are reduced modulo it, which keeps their entries from
+    swelling.  U is only built when ``want_u`` is set; otherwise it comes
+    back as an empty list.
     """
     s = len(columns)
     n = len(columns[0]) if columns else 0
     work = [list(c) for c in columns]
-    u = [[int(i == j) for i in range(s)] for j in range(s)] if want_u else []
+    u = [[one if i == j else zero for i in range(s)] for j in range(s)] if want_u else []
 
     def nonzeros(vec, stop):
         return [(k, c) for k, c in enumerate(vec[:stop]) if c]
@@ -105,7 +69,7 @@ def _hnf_int(
 
     buckets: dict[int, list[int]] = {}  # pivot row -> columns, for rows not yet done
     for j, col in enumerate(work):
-        r = _pivot_row_int(col)
+        r = _pivot_row(col)
         if r >= 0:
             buckets.setdefault(r, []).append(j)
     fixed: list[int] = []
@@ -114,7 +78,7 @@ def _hnf_int(
         if not live:
             continue
         while len(live) > 1:
-            i = min(live, key=lambda j: abs(work[j][row]))
+            i = min(live, key=lambda j: size(work[j][row], j))
             a = work[i][row]
             terms = nonzeros(work[i], row + 1)
             uterms = nonzeros(u[i], s) if want_u else ()
@@ -122,27 +86,25 @@ def _hnf_int(
             for j in live:
                 if j == i:
                     continue
-                q, r = divmod(work[j][row], a)
-                if 2 * abs(r) > abs(a):
-                    q += 1
-                sub(j, q, terms, uterms)
+                sub(j, near(work[j][row], a), terms, uterms)
                 if work[j][row]:
                     rest.append(j)
                 else:
-                    r = _pivot_row_int(work[j][:row])
+                    r = _pivot_row(work[j][:row])
                     if r >= 0:
                         buckets.setdefault(r, []).append(j)
             live = rest
         i = live[0]
-        if work[i][row] < 0:
-            work[i] = [-v for v in work[i]]
+        c = unit(work[i][row])
+        if c != 1:
+            work[i] = [c * v for v in work[i]]
             if want_u:
-                u[i] = [-v for v in u[i]]
+                u[i] = [c * v for v in u[i]]
         p = work[i][row]
         terms = nonzeros(work[i], row + 1)
         uterms = nonzeros(u[i], s) if want_u else ()
         for k in fixed:
-            q = work[k][row] // p
+            q = divmod(work[k][row], p)[0]
             if q:
                 sub(k, q, terms, uterms)
         fixed.append(i)
@@ -152,21 +114,49 @@ def _hnf_int(
     return [work[j] for j in order], ([u[j] for j in order] if want_u else [])
 
 
-def ker_int(mat: IntMat) -> list[tuple[int, ...]]:
-    """Z-basis of {X in Z^s | mat @ X = 0}."""
-    cols = [list(c) for c in mat.columns]
-    h, u = _hnf_int(cols)
-    return [tuple(u[j]) for j in range(len(h)) if _pivot_row_int(h[j]) == -1]
+def _nearest(a: int, b: int) -> int:
+    """The q with |a - q*b| <= |b|/2 (rounding half toward -infinity)."""
+    q, r = divmod(a, b)
+    return q + 1 if 2 * abs(r) > abs(b) else q
+
+
+def _hnf_int(
+    columns: list[list[int]], want_u: bool = True
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Column HNF over Z with transformation: returns (H, U), A*U = H.
+
+    U is unimodular, pivots are positive, and the pivot-row entries of
+    later columns lie in [0, pivot).  H is unique for the Z-span of the
+    columns; U is not.
+    """
+    return _hnf(columns, want_u, 0, 1, lambda a, j: abs(a), _nearest,
+                lambda a: -1 if a < 0 else 1)
+
+
+def hnf_modpoly(columns, p: int):
+    """Column HNF over Z_p[x] with transformation: returns (B, T), B = A*T.
+
+    T is invertible over Z_p[x], pivots are monic, and the pivot-row
+    entries of later columns have degree below the pivot's.
+    """
+    return _hnf(columns, True, ModPoly(p), ModPoly(p, (1,)), lambda a, j: (a.degree, j),
+                lambda a, b: divmod(a, b)[0], lambda a: pow(a.lead, -1, p))
+
+
+def ker_int(columns) -> list[list[int]]:
+    """Z-basis of {X in Z^s | A X = 0} for the matrix A with these columns."""
+    h, u = _hnf_int(columns)
+    return [u[j] for j in range(len(h)) if _pivot_row(h[j]) == -1]
 
 
 def int_lattice_contains(columns, v) -> bool:
     """Whether integer vector v lies in the Z-span of the given columns."""
     if not columns:
         return not any(v)
-    h, _ = _hnf_int([list(c) for c in columns], want_u=False)
+    h, _ = _hnf_int(columns, want_u=False)
     r = list(v)
     for j in range(len(h) - 1, -1, -1):
-        row = _pivot_row_int(h[j])
+        row = _pivot_row(h[j])
         if row == -1:
             continue
         piv = h[j][row]
@@ -179,99 +169,22 @@ def int_lattice_contains(columns, v) -> bool:
     return not any(r)
 
 
-def _pivot_row_mod(col) -> int:
-    for i in range(len(col) - 1, -1, -1):
-        if col[i]:
-            return i
-    return -1
-
-
-def hnf_modpoly(mat: ModPolyMat) -> tuple[ModPolyMat, ModPolyMat]:
-    """Column Hermite normal form over Z_p[x]: returns (B, T), B = mat*T.
-
-    T is invertible over Z_p[x].  Zero columns of B come first; pivot
-    columns follow with strictly increasing pivot rows, monic pivots, and
-    the pivot-row entries of later columns reduced below the pivot degree.
-    """
-    p = mat.p
-    s = mat.cols
-    zero = ModPoly(p)
-    one = ModPoly(p, (1,))
-    work = [list(c) for c in mat.columns]
-    t = [[one if i == j else zero for j in range(s)] for i in range(s)]
-
-    def addmul(j, i, q):
-        # col_j -= q * col_i
-        for vecs in (work, t):
-            ci, cj = vecs[i], vecs[j]
-            for k in range(len(cj)):
-                cj[k] = cj[k] - q * ci[k]
-
-    pivot_of_row: dict[int, int] = {}
-    n = mat.rows
-    for row in range(n - 1, -1, -1):
-        while True:
-            live = [
-                j
-                for j in range(s)
-                if j not in pivot_of_row.values() and _pivot_row_mod(work[j]) == row
-            ]
-            if not live:
-                break
-            if len(live) == 1:
-                pivot_of_row[row] = live[0]
-                break
-            live.sort(key=lambda j: (work[j][row].degree, j))
-            i = live[0]
-            for j in live[1:]:
-                q, _ = divmod(work[j][row], work[i][row])
-                addmul(j, i, q)
-
-    # monic pivots, then reduce pivot-row entries of the other columns
-    for row, i in pivot_of_row.items():
-        lead_inv = pow(work[i][row].lead, -1, p)
-        if lead_inv != 1:
-            for vecs in (work, t):
-                vecs[i][:] = [e * lead_inv for e in vecs[i]]
-    for row in sorted(pivot_of_row, reverse=True):
-        i = pivot_of_row[row]
-        for j in range(s):
-            if j != i and work[j][row]:
-                q, _ = divmod(work[j][row], work[i][row])
-                if q:
-                    addmul(j, i, q)
-
-    order = sorted(
-        range(s), key=lambda j: (_pivot_row_mod(work[j]) != -1, _pivot_row_mod(work[j]), j)
-    )
-    b = ModPolyMat.from_columns(p, [work[j] for j in order])
-    tt = ModPolyMat.from_columns(p, [t[j] for j in order])
-    return b, tt
-
-
-def ker_modpoly(mat: ModPolyMat) -> list[tuple[ModPoly, ...]]:
-    """Basis of {X in Z_p[x]^s | mat @ X = 0} over the PID Z_p[x]."""
-    b, t = hnf_modpoly(mat)
-    return [t.columns[j] for j in range(mat.cols) if _pivot_row_mod(b.columns[j]) == -1]
-
-
 def _scalar_shape(col) -> tuple[int, float]:
     """(pivot row, degree of the pivot entry) of a Z_p[x] column."""
-    r = _pivot_row_mod(col)
+    r = _pivot_row(col)
     return r, (col[r].degree if r >= 0 else -1)
 
 
-def scalar_kernel(mat: ModPolyMat) -> list[tuple[int, ...]]:
-    """Basis of {X in Z_p^l | mat @ X = 0} using only scalar column moves.
+def scalar_kernel(columns) -> list[tuple[int, ...]]:
+    """Basis of {X in Z_p^l | A X = 0} using only scalar column moves.
 
     The matrix is driven to standard form: within each pivot row the
     pivot-entry degrees are pairwise distinct (and the surviving columns
     therefore Z_p-independent).  Ties are broken toward the leftmost
     column of minimal pivot degree, which makes the output deterministic.
     """
-    p = mat.p
-    l = mat.cols
-    work = [list(c) for c in mat.columns]
+    l = len(columns)
+    work = [list(c) for c in columns]
     u = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
 
     while True:
@@ -288,13 +201,15 @@ def scalar_kernel(mat: ModPolyMat) -> list[tuple[int, ...]]:
         if clash is None:
             break
         keep = clash[0]
-        row = _pivot_row_mod(work[keep])
-        lead = work[keep][row].lead
+        row = _pivot_row(work[keep])
+        lead = work[keep][row]
+        p = lead.p
+        inv = pow(lead.lead, -1, p)
         for j in clash[1:]:
-            f = (work[j][row].lead * pow(lead, -1, p)) % p
-            for k in range(mat.rows):
+            f = (work[j][row].lead * inv) % p
+            for k in range(len(work[j])):
                 work[j][k] = work[j][k] - f * work[keep][k]
             for k in range(l):
                 u[j][k] = (u[j][k] - f * u[keep][k]) % p
 
-    return [tuple(u[j]) for j in range(l) if _pivot_row_mod(work[j]) == -1]
+    return [tuple(u[j]) for j in range(l) if _pivot_row(work[j]) == -1]

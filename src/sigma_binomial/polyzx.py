@@ -317,15 +317,6 @@ class IntPoly:
             if self.coeffs[k]:
                 yield k, self.coeffs[k]
 
-    def content_with_sign(self) -> int:
-        """gcd of coefficients carrying the sign of the leading one; 0 for 0."""
-        g = 0
-        for c in self.coeffs:
-            g = ext_gcd(g, c)[0] if (g or c) else 0
-        if g and self.lead < 0:
-            g = -g
-        return g
-
     def __repr__(self) -> str:
         return "IntPoly(%r)" % (self.coeffs,)
 
@@ -406,17 +397,6 @@ class ModPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "ModPoly":
-        if not self or k == 0:
-            return self if k >= 0 else ModPoly(self.p, self.coeffs[-k:])
-        return ModPoly(self.p, (0,) * k + self.coeffs)
-
-    def monic(self) -> "ModPoly":
-        if not self:
-            return self
-        inv = pow(self.lead, -1, self.p)
-        return self * inv
-
     def __divmod__(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
         self._check(other)
         if not other:
@@ -450,15 +430,6 @@ class ModPoly:
 def mod_reduce(a: IntPoly, p: int) -> ModPoly:
     """Reduce an integer polynomial mod a prime p."""
     return ModPoly(p, a.coeffs)
-
-
-def lift(a: ModPoly) -> IntPoly:
-    return a.lift()
-
-
-def modpoly_divrem(a: ModPoly, b: ModPoly) -> tuple[ModPoly, ModPoly]:
-    """Quotient and remainder in Z_p[x] with deg r < deg b."""
-    return divmod(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@ iff L : r = {h | r*h in L} is larger than L, and L : r is read off one
 kernel computation.  Its GHNF columns outside L are then the witnesses,
 each with its least multiplier into L.
 
+For one prime p, ZFactor (Example 7.5, step 3.4) takes a single HNF
+over Z_p[x] of the blocks' last columns mod p, and reads their kernel
+off its zero columns.  Every candidate is tracked only by its
+expression e over the columns; h = (sum e_l * column_l) / p is computed
+once, when the candidate is tested.
+
 Witnesses carry exact linear certificates: every SatWitnessX satisfies
 x*h = sum(e_l * column_l) with integer e, every SatWitnessZ satisfies
 k*h = sum(e_l * column_l) with e over Z[x] and k either a prime or a
@@ -97,9 +103,8 @@ def xfactor(basis: GhnfBasis) -> list[SatWitnessX]:
     cols = basis.columns
     if not cols:
         return []
-    f = pid_linalg.IntMat.from_columns([c.constant_column() for c in cols])
     out = []
-    for e in pid_linalg.ker_int(f):
+    for e in pid_linalg.ker_int([c.constant_column() for c in cols]):
         v = LatVec.zero(basis.n)
         for coeff, col in zip(e, cols):
             if coeff:
@@ -121,101 +126,78 @@ def _block_end_indices(basis: GhnfBasis) -> list[int]:
     return [b.start + b.size - 1 for b in basis.blocks]
 
 
-def _vec_mod(v: LatVec, p: int) -> tuple[ModPoly, ...]:
-    return tuple(mod_reduce(e, p) for e in v.entries)
+def _vec_mod(v: LatVec, p: int) -> list[ModPoly]:
+    return [mod_reduce(e, p) for e in v.entries]
 
 
-def _lift_combination(
-    basis: GhnfBasis, parts: list[tuple[int, IntPoly]]
-) -> tuple[LatVec, tuple[IntPoly, ...]]:
-    """Exact integer vector and expression for sum(coeff * x^0 * column)."""
-    v = LatVec.zero(basis.n)
-    e = [IntPoly() for _ in basis.columns]
-    for idx, coeff in parts:
-        if coeff:
-            v = v + coeff * basis.columns[idx]
-            e[idx] = e[idx] + coeff
-    return v, tuple(e)
+def _candidates(basis: GhnfBasis, p: int, exprs) -> list[SatWitnessZ]:
+    """The h = (sum e_l * column_l) / p outside the lattice, each with its e."""
+    out = []
+    for e in exprs:
+        v = LatVec.zero(basis.n)
+        for coeff, col in zip(e, basis.columns):
+            if coeff:
+                v = v + coeff * col
+        h = v.exact_div(p)
+        if grem(h, basis):
+            out.append(SatWitnessZ(h, p, tuple(e)))
+    return out
 
 
 def _zfactor_prime(basis: GhnfBasis, p: int) -> list[SatWitnessZ]:
+    """The ZFactor witnesses for one prime p, from one HNF B = F*T over
+    Z_p[x] of the block-end columns F mod p (Example 7.5, step 3.4).
+
+    A zero column of B makes the matching column of T a kernel vector of
+    F, and each kernel vector is a candidate.  Without a kernel, every
+    element of C_- is reduced mod p against B; those that reduce to zero
+    are the candidates, and failing a witness among them, the Z_p-relations
+    among the nonzero residues are.  A candidate is tracked only by its
+    expression e over the columns, which is divisible by p once applied.
+    """
     cols = basis.columns
     ends = _block_end_indices(basis)
-    fmat = pid_linalg.ModPolyMat.from_columns(
-        p, [_vec_mod(cols[i], p) for i in ends]
-    )
-    kernel = pid_linalg.ker_modpoly(fmat)
-    out = []
+    b, t = pid_linalg.hnf_modpoly([_vec_mod(cols[i], p) for i in ends], p)
+
+    def expr(parts):
+        e = [IntPoly() for _ in cols]
+        for j, c in parts:
+            e[j] = e[j] + c
+        return e
+
+    kernel = [tk for bk, tk in zip(b, t) if not any(bk)]
     if kernel:
-        for gvec in kernel:
-            v, e = _lift_combination(
-                basis, [(ends[k], gvec[k].lift()) for k in range(len(ends))]
-            )
-            h = v.exact_div(p)
-            if grem(h, basis):
-                out.append(SatWitnessZ(h, p, e))
-        return out
+        return _candidates(basis, p, (
+            expr((j, c.lift()) for j, c in zip(ends, tk) if c) for tk in kernel
+        ))
 
-    # the block-end columns are independent mod p; reduce C_- against
-    # their Hermite normal form and look for Z_p-relations of the residues
-    bmat, tmat = pid_linalg.hnf_modpoly(fmat)
-    # lifted versions of the HNF columns as exact combinations of ends
-    lifted_b: list[tuple[LatVec, tuple[IntPoly, ...]]] = []
-    for k in range(len(ends)):
-        parts = [(ends[j], tmat.columns[k][j].lift()) for j in range(len(ends))]
-        lifted_b.append(_lift_combination(basis, parts))
-
-    residues = []
-    zero_residues = []
+    residues, zero = [], []
     for col_idx, shift in _c_minus_items(basis):
-        f = cols[col_idx].shift(shift)
-        e_f = [IntPoly() for _ in cols]
-        e_f[col_idx] = IntPoly.term(1, shift)
-        fmod = list(_vec_mod(f, p))
-        f_exact, e_exact = f, list(e_f)
+        fmod = _vec_mod(cols[col_idx].shift(shift), p)
+        e = expr([(col_idx, IntPoly.term(1, shift))])
         # reduce against the HNF columns, bottom row first
-        for k in range(len(ends) - 1, -1, -1):
-            bk = bmat.columns[k]
-            prow = pid_linalg._pivot_row_mod(bk)
-            if prow < 0 or not fmod[prow]:
+        for bk, tk in zip(reversed(b), reversed(t)):
+            row = pid_linalg._pivot_row(bk)
+            if not fmod[row]:
                 continue
-            q, _ = divmod(fmod[prow], bk[prow])
+            q = divmod(fmod[row], bk[row])[0]
             if q:
-                for r in range(basis.n):
-                    fmod[r] = fmod[r] - q * bk[r]
+                fmod = [a - q * c for a, c in zip(fmod, bk)]
                 ql = q.lift()
-                f_exact = f_exact - LatVec(ql * ent for ent in lifted_b[k][0].entries)
-                for l in range(len(cols)):
-                    if lifted_b[k][1][l]:
-                        e_exact[l] = e_exact[l] - ql * lifted_b[k][1][l]
-        if any(fmod):
-            residues.append((tuple(fmod), f_exact, tuple(e_exact)))
-        else:
-            zero_residues.append((f_exact, tuple(e_exact)))
+                for j, c in zip(ends, tk):
+                    if c:
+                        e[j] = e[j] - ql * c.lift()
+        (residues if any(fmod) else zero).append((fmod, e))
 
-    if zero_residues:
-        for f_exact, e_exact in zero_residues:
-            h = f_exact.exact_div(p)
-            if grem(h, basis):
-                out.append(SatWitnessZ(h, p, e_exact))
-        if out:
-            return out
-
-    if residues:
-        emat = pid_linalg.ModPolyMat.from_columns(p, [r[0] for r in residues])
-        for bvec in pid_linalg.scalar_kernel(emat):
-            v = LatVec.zero(basis.n)
-            e = [IntPoly() for _ in cols]
-            for coeff, (_, f_exact, e_exact) in zip(bvec, residues):
-                if coeff:
-                    v = v + coeff * f_exact
-                    for l in range(len(cols)):
-                        if e_exact[l]:
-                            e[l] = e[l] + coeff * e_exact[l]
-            h = v.exact_div(p)
-            if grem(h, basis):
-                out.append(SatWitnessZ(h, p, tuple(e)))
-    return out
+    out = _candidates(basis, p, (e for _, e in zero))
+    if out or not residues:
+        return out
+    relations = pid_linalg.scalar_kernel([r for r, _ in residues])
+    return _candidates(basis, p, (
+        expr((l, c * er[l]) for c, (_, er) in zip(bvec, residues) if c
+             for l in range(len(cols)) if er[l])
+        for bvec in relations
+    ))
 
 
 def _order(basis: GhnfBasis, h: LatVec) -> int:

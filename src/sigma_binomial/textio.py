@@ -28,7 +28,7 @@ def strip_comments(text: str) -> list[str]:
 
 
 def _split_top(s: str, seps: str) -> list[str]:
-    """Split on separators outside parentheses; keeps separators for +/-."""
+    """Split on separators outside parentheses; the separators are kept, at odd indices."""
     parts = []
     depth = 0
     cur = ""
@@ -96,7 +96,7 @@ def ghnf_to_str(basis: GhnfBasis, multipliers=None) -> str:
 
 def _term_to_parts(term: str) -> tuple[FieldConst, dict[int, IntPoly]]:
     """A term is '*'-joined constant factors and y<i>[^(poly)] factors."""
-    factors = [f for f in term_split_star(term) if f]
+    factors = [f for f in _split_top(term, "*")[::2] if f]
     coeff_parts = []
     exps: dict[int, IntPoly] = {}
     for f in factors:
@@ -111,24 +111,6 @@ def _term_to_parts(term: str) -> tuple[FieldConst, dict[int, IntPoly]]:
         coeff_parts.append(f)
     coeff = const_from_str("*".join(coeff_parts)) if coeff_parts else FieldConst.one()
     return coeff, exps
-
-
-def term_split_star(s: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    return parts
 
 
 def _exps_to_vec(exps: dict[int, IntPoly], n: int) -> LatVec:

@@ -41,7 +41,6 @@ __all__ = [
     "MonoTerm",
     "GhnfBasis",
     "Block",
-    "leading_term",
     "grem",
     "grem_track",
     "s_vector",
@@ -52,7 +51,6 @@ __all__ = [
     "gker",
     "kernel_from_track",
     "enumerate_c",
-    "rank",
     "contains",
     "lattice_equal",
     "member_oracle",
@@ -164,10 +162,6 @@ class LatVec:
 
     def __repr__(self) -> str:
         return "LatVec((%s))" % ", ".join(str(e) for e in self.entries)
-
-
-def leading_term(v: LatVec) -> MonoTerm:
-    return v.leading_term()
 
 
 def _lt_key(v: LatVec) -> tuple[int, int, int]:
@@ -357,24 +351,19 @@ def s_vector(f: LatVec, g: LatVec) -> LatVec:
     """The S-polynomial of two vectors; zero when pivot rows differ."""
     if not f or not g:
         raise ZeroVector("S-vector of a zero vector")
-    ltf, ltg = f.leading_term(), g.leading_term()
-    if ltf.row != ltg.row:
+    if f.leading_term().row != g.leading_term().row:
         return LatVec.zero(f.n)
-    if ltf.deg < ltg.deg:
-        f, g = g, f
-        ltf, ltg = ltg, ltf
-    a, k = ltf.coeff, ltf.deg
-    b, s = ltg.coeff, ltg.deg
-    if a % b == 0:
-        return f - (a // b) * g.shift(k - s)
-    if b % a == 0:
-        return (b // a) * f - g.shift(k - s)
-    _, u, w = ext_gcd(a, b)
-    return u * f + w * g.shift(k - s)
+    mf, mg = _s_multipliers(f, g)
+    return mf * f - mg * g
 
 
 def _s_multipliers(f: LatVec, g: LatVec) -> tuple[IntPoly, IntPoly]:
-    """(mf, mg) with S(f, g) = mf*f - mg*g, mirroring s_vector's case split."""
+    """(mf, mg) with S(f, g) = mf*f - mg*g for f, g with the same pivot row.
+
+    With f the one of larger leading degree k, a its leading coefficient,
+    and g's b*x^s: f - (a/b)*x^(k-s)*g when b | a, (b/a)*f - x^(k-s)*g
+    when a | b, and u*f + w*x^(k-s)*g from a*u + b*w = gcd(a, b) otherwise.
+    """
     ltf, ltg = f.leading_term(), g.leading_term()
     swapped = ltf.deg < ltg.deg
     if swapped:
@@ -756,10 +745,6 @@ def _c_minus_items(basis: GhnfBasis) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # Queries
-
-
-def rank(basis: GhnfBasis) -> int:
-    return basis.rank
 
 
 def contains(basis: GhnfBasis, v: LatVec) -> bool:

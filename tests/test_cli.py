@@ -208,3 +208,39 @@ def test_wellmixed_closure_large_multiplier(k):
     code, out = call(["wellmixed-closure"], "y1^(%d) - 1\n" % k)
     assert time.perf_counter() - start < 1.0
     assert code == 0 and out == "y1^(%d) - 1\ny1^(x+%d) - 1\n" % (k, k - 1)
+
+
+@pytest.mark.parametrize("sigma", ["id", "conj"])
+@pytest.mark.parametrize("mat", [MAT_71, MAT_75], ids=["7.1", "7.5"])
+def test_satm_satp_match_library(mat, sigma):
+    from sigma_binomial.saturation import sat_m, sat_p
+
+    cols = parse_matrix(mat)
+    config = SigmaConfig.IDENTITY if sigma == "id" else SigmaConfig.CONJUGATION
+    for cmd, sat in (("satm", sat_m), ("satp", sat_p)):
+        code, out = call([cmd, "--sigma", sigma], mat)
+        assert (code, out) == (0, ghnf_to_str(sat(cols, config, cols[0].n)) + "\n"), cmd
+
+
+def test_input_from_file_argument(tmp_path):
+    path = tmp_path / "mat.txt"
+    path.write_text(MAT_75, encoding="utf-8")
+    assert call(["satz", str(path)]) == call(["satz"], MAT_75)
+    code, _ = call(["satz", str(tmp_path / "missing.txt")])
+    assert code == 2
+
+
+def test_charset_json():
+    code, out = call(["charset", "--json"], "y1^(2) - 1\ny1^(4) - 1\n")
+    assert code == 0 and json.loads(out) == {"binomials": ["y1^(2) - 1"]}
+    code, out = call(["charset", "--json"], "y1 - 1\ny1 - 2\n")
+    assert code == 1 and json.loads(out) == {"unit": True}
+
+
+@pytest.mark.parametrize("cmd", ["dec-laurent", "dec-binomial"])
+def test_decomposition_unit_exit_1(cmd):
+    # y1 = 1 and y1 = 2 have no common solution, and y1 = 0 solves neither
+    code, out = call([cmd], "y1 - 1\ny1 - 2\n")
+    assert (code, out) == (1, "unit\n")
+    code, out = call([cmd, "--json"], "y1 - 1\ny1 - 2\n")
+    assert code == 1 and json.loads(out) == {"unit": True}

@@ -13,7 +13,6 @@ from sigma_binomial.constants import (
     kth_roots,
     o_m,
     pow_zx,
-    sigma_apply,
     sigma_inv_pow,
 )
 from sigma_binomial.polyzx import DegenerateInput, IntPoly, poly_from_str
@@ -62,7 +61,7 @@ def test_sigma_inv_pow():
         for k in (1, 2, 3):
             image = c
             for _ in range(k):
-                image = sigma_apply(image, sig)
+                image = sigma_inv_pow(image, 1, sig)
             assert sigma_inv_pow(image, k, sig) == c
 
 

@@ -1,10 +1,11 @@
 """Tests for Laurent binomial ideals: characters, closures, decomposition."""
 
 import random
+import time
 
 import pytest
 
-from conftest import V, laurent_systems
+from conftest import V, laurent_systems, rand_vec
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.zx_lattice import LatVec, gker, lattice_equal
@@ -337,3 +338,39 @@ def test_make_character_one_tracked_completion(monkeypatch):
     rho = make_character(sys716, ID, n)
     assert not is_unit(rho)
     assert len(keys) == 1 and keys[0][0] is True
+
+
+def test_decomposition_oracle():
+    """The perfect closure is the intersection of its reflexive prime
+    components (the paper's decomposition theorem), checked on the
+    criterion-9 Laurent family with a per-system deadline."""
+    rng = random.Random(5)
+    proper = agreeing = 0
+    for n, system, sigma in laurent_systems():
+        start = time.perf_counter()
+        closure = perfect_closure(system, sigma, n)
+        comps = dec_laurent(system, sigma, n)
+        assert is_unit(closure) == (not comps), system
+        assert len(set(comps)) == len(comps), system
+        if comps:
+            proper += 1
+            for b in closure.binomials:
+                assert all(member(b, rho) for rho in comps), (system, str(b))
+            # f from the components' lattices, so that some agree, and at random
+            cols = [g for rho in comps for g in rho.basis.columns]
+            fs = [rand_vec(rng, n, 2, 3) for _ in range(4)]
+            for _ in range(12):
+                f = LatVec.zero(n)
+                for g in rng.sample(cols, min(2, len(cols))):
+                    f = f + rng.randint(-2, 2) * g
+                fs.append(f)
+            for f in fs:
+                values = [rho.value(f) for rho in comps]
+                value = closure.value(f)
+                if value is not None:
+                    assert values == [value] * len(comps), (system, f)
+                if values[0] is not None and values.count(values[0]) == len(values):
+                    agreeing += 1
+                    assert value == values[0], (system, f)
+        assert time.perf_counter() - start < 2.0, system
+    assert proper and agreeing, (proper, agreeing)

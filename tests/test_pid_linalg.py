@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigma_binomial.pid_linalg import (
-    IntMat,
-    ModPolyMat,
     _hnf_int,
-    _pivot_row_int,
+    _pivot_row,
     hnf_modpoly,
     int_lattice_contains,
     ker_int,
-    ker_modpoly,
     scalar_kernel,
 )
 from sigma_binomial.polyzx import ModPoly, mod_reduce, poly_from_str
@@ -25,14 +22,26 @@ P = poly_from_str
 
 
 def M(p, *cols):
-    return ModPolyMat.from_columns(
-        p, [[mod_reduce(P(s), p) for s in col] for col in cols]
-    )
+    return [[mod_reduce(P(s), p) for s in col] for col in cols]
+
+
+def ker_mod(columns, p):
+    """The Z_p[x]-kernel, read off the zero columns of the HNF."""
+    b, t = hnf_modpoly(columns, p)
+    return [tk for bk, tk in zip(b, t) if not any(bk)]
+
+
+def rand_modpoly_columns(rng, p, rows, cols):
+    return [
+        [ModPoly(p, [rng.randint(0, p - 1) for _ in range(rng.randint(0, 3))])
+         for _ in range(rows)]
+        for _ in range(cols)
+    ]
 
 
 def test_ker_int_example():
     # kernel spanned by (0,-1,1) and (1,-2,0)
-    f = IntMat.from_rows([[2, 1, 1], [2, 1, 1], [0, 0, 0]])
+    f = [[2, 2, 0], [1, 1, 0], [1, 1, 0]]  # rows (2, 1, 1), (2, 1, 1), (0, 0, 0)
     basis = ker_int(f)
     assert len(basis) == 2
     for x in basis:
@@ -49,8 +58,8 @@ def test_ker_int_example():
 
 
 def test_ker_int_trivial():
-    assert ker_int(IntMat.from_rows([[1, 0], [0, 1]])) == []
-    basis = ker_int(IntMat.from_rows([[0, 0, 0]]))
+    assert ker_int([[1, 0], [0, 1]]) == []
+    basis = ker_int([[0], [0], [0]])
     assert len(basis) == 3
     for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         assert int_lattice_contains(basis, v)
@@ -59,31 +68,31 @@ def test_ker_int_trivial():
 def test_hnf_modpoly_example_75():
     # step 3.4 of the Z-saturation example: B = [[x^2, 1-x], [0, x^3]]
     f = M(2, ("x^2+2*x-2", "0"), ("1-x", "x^3"))
-    b, t = hnf_modpoly(f)
-    cols = [[str(e.lift()) for e in c] for c in b.columns]
+    b, t = hnf_modpoly(f, 2)
+    cols = [[str(e.lift()) for e in c] for c in b]
     assert cols == [["x^2", "0"], ["x+1", "x^3"]]
     # B = F * T exactly
     for k in range(2):
         for r in range(2):
             acc = ModPoly(2)
             for j in range(2):
-                acc = acc + f.columns[j][r] * t.columns[k][j]
-            assert acc == b.columns[k][r]
+                acc = acc + f[j][r] * t[k][j]
+            assert acc == b[k][r]
 
 
 def test_hnf_modpoly_unit():
     f = M(2, ("x^2",), ("1",))
-    b, t = hnf_modpoly(f)
-    nonzero = [c for c in b.columns if any(c)]
+    b, t = hnf_modpoly(f, 2)
+    nonzero = [c for c in b if any(c)]
     assert len(nonzero) == 1 and str(nonzero[0][0].lift()) == "1"
 
 
 def test_hnf_modpoly_already_hnf():
     f = M(3, ("x", "0"), ("1", "x^2"))
-    b, t = hnf_modpoly(f)
-    assert b.columns == f.columns
+    b, t = hnf_modpoly(f, 3)
+    assert b == f
     one, zero = ModPoly(3, (1,)), ModPoly(3)
-    assert t.columns == ((one, zero), (zero, one))
+    assert t == [[one, zero], [zero, one]]
 
 
 def test_hnf_transformation_invertible():
@@ -91,18 +100,11 @@ def test_hnf_transformation_invertible():
     for _ in range(60):
         p = rng.choice([2, 3, 5])
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-        f = ModPolyMat.from_columns(
-            p,
-            [
-                [ModPoly(p, [rng.randint(0, p - 1) for _ in range(rng.randint(0, 3))])
-                 for _ in range(rows)]
-                for _ in range(cols)
-            ],
-        )
-        b, t = hnf_modpoly(f)
+        f = rand_modpoly_columns(rng, p, rows, cols)
+        b, t = hnf_modpoly(f, p)
         # rerunning on T must produce unit pivots everywhere: T is invertible
-        tb, _ = hnf_modpoly(t)
-        nonzero = [c for c in tb.columns if any(c)]
+        tb, _ = hnf_modpoly(t, p)
+        nonzero = [c for c in tb if any(c)]
         assert len(nonzero) == cols
         for c in nonzero:
             piv = max(i for i in range(cols) if c[i])
@@ -112,14 +114,14 @@ def test_hnf_transformation_invertible():
 
 def test_ker_modpoly_examples():
     f = M(2, ("x^2", "0"), ("1", "0"))
-    basis = ker_modpoly(f)
+    basis = ker_mod(f, 2)
     assert len(basis) == 1
     x = basis[0]
     assert [str(e.lift()) for e in x] in ([ "1", "x^2"],)
     # full column rank -> empty kernel
-    assert ker_modpoly(M(2, ("x", "0"), ("1", "x^2"))) == []
+    assert ker_mod(M(2, ("x", "0"), ("1", "x^2")), 2) == []
     # duplicate columns over Z_3
-    basis = ker_modpoly(M(3, ("x",), ("x",)))
+    basis = ker_mod(M(3, ("x",), ("x",)), 3)
     assert len(basis) == 1
     u = basis[0]
     assert (u[0] + u[1]) == ModPoly(3)
@@ -130,19 +132,12 @@ def test_ker_modpoly_annihilates_randomized():
     for _ in range(80):
         p = rng.choice([2, 3, 5])
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
-        f = ModPolyMat.from_columns(
-            p,
-            [
-                [ModPoly(p, [rng.randint(0, p - 1) for _ in range(rng.randint(0, 3))])
-                 for _ in range(rows)]
-                for _ in range(cols)
-            ],
-        )
-        for x in ker_modpoly(f):
+        f = rand_modpoly_columns(rng, p, rows, cols)
+        for x in ker_mod(f, p):
             for r in range(rows):
                 acc = ModPoly(p)
                 for j in range(cols):
-                    acc = acc + f.columns[j][r] * x[j]
+                    acc = acc + f[j][r] * x[j]
                 assert not acc
 
 
@@ -160,14 +155,7 @@ def test_scalar_kernel_exhaustive_small():
     for _ in range(60):
         p = rng.choice([2, 3])
         rows, cols = rng.randint(1, 2), rng.randint(1, 4)
-        e = ModPolyMat.from_columns(
-            p,
-            [
-                [ModPoly(p, [rng.randint(0, p - 1) for _ in range(rng.randint(0, 3))])
-                 for _ in range(rows)]
-                for _ in range(cols)
-            ],
-        )
+        e = rand_modpoly_columns(rng, p, rows, cols)
         basis = scalar_kernel(e)
         # brute force over Z_p^cols
         kernel = set()
@@ -176,7 +164,7 @@ def test_scalar_kernel_exhaustive_small():
             for r in range(rows):
                 acc = ModPoly(p)
                 for j in range(cols):
-                    acc = acc + e.columns[j][r] * x[j]
+                    acc = acc + e[j][r] * x[j]
                 if acc:
                     ok = False
                     break
@@ -194,21 +182,13 @@ def test_scalar_kernel_exhaustive_small():
 
 def test_standard_form_degree_discipline():
     rng = random.Random(33)
-    from sigma_binomial.pid_linalg import _pivot_row_mod, _scalar_shape
 
     for _ in range(40):
         p = rng.choice([2, 3])
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
-        e = ModPolyMat.from_columns(
-            p,
-            [
-                [ModPoly(p, [rng.randint(0, p - 1) for _ in range(rng.randint(0, 3))])
-                 for _ in range(rows)]
-                for _ in range(cols)
-            ],
-        )
+        e = rand_modpoly_columns(rng, p, rows, cols)
         # replay the reduction to inspect the final shapes
-        work = [list(c) for c in e.columns]
+        work = [list(c) for c in e]
         basis = scalar_kernel(e)  # drives its own copy; recompute shapes here
         shapes = {}
         # after scalar_kernel, the invariant is about its internal state; we
@@ -216,7 +196,7 @@ def test_standard_form_degree_discipline():
         # within each pivot row when re-running the elimination
         from sigma_binomial import pid_linalg as pl
 
-        work2 = [list(c) for c in e.columns]
+        work2 = [list(c) for c in e]
         u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
         while True:
             groups = {}
@@ -232,7 +212,7 @@ def test_standard_form_degree_discipline():
             if clash is None:
                 break
             keep = clash[0]
-            row = pl._pivot_row_mod(work2[keep])
+            row = pl._pivot_row(work2[keep])
             lead = work2[keep][row].lead
             for j in clash[1:]:
                 fct = (work2[j][row].lead * pow(lead, -1, p)) % p
@@ -276,7 +256,7 @@ def test_hnf_int_against_sympy(sympy_hnf, matrix):
     assert _hnf_int(cols, want_u=False) == (h, [])
     # the shape: zero columns first, then increasing pivot rows with
     # positive pivots and reduced entries in later columns
-    pivots = [_pivot_row_int(c) for c in h]
+    pivots = [_pivot_row(c) for c in h]
     nonzero = [c for c, r in zip(h, pivots) if r >= 0]
     live = [r for r in pivots if r >= 0]
     assert pivots == [-1] * (s - len(live)) + live and live == sorted(set(live))
