@@ -38,7 +38,7 @@ from .zx_lattice import (
     syzygy_basis,
     verify_ghnf,
 )
-from .pid_linalg import hnf_modpoly, ker_int, scalar_kernel
+from .pid_linalg import hnf_modpoly, ker_int
 from .constants import (
     FieldConst,
     SigmaConfig,

@@ -82,7 +82,7 @@ class UnitIdeal:
 UNIT = UnitIdeal()
 
 # Root choices dec_laurent may enumerate on one level.  The criterion-9
-# Laurent family needs at most 243 (trial 101, whose decomposition has 27
+# Laurent family needs at most 27 (trial 101, whose decomposition has 27
 # components); the bound refuses the k-th roots of a large k.
 _MAX_ROOT_CHOICES = 4096
 

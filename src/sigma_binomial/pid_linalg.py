@@ -14,10 +14,7 @@ two choices:
 - the unit that normalises a pivot: its sign over Z, the inverse of its
   leading coefficient over Z_p[x].
 
-The kernel of a matrix is read off the zero columns of its HNF.  The
-Z_p-scalar kernel of a Z_p[x] matrix is computed separately, by the
-standard-form reduction that only permits column exchanges and scalar
-column additions.
+The kernel of a matrix is read off the zero columns of its HNF.
 """
 
 from __future__ import annotations
@@ -167,49 +164,3 @@ def int_lattice_contains(columns, v) -> bool:
             for k in range(len(r)):
                 r[k] -= q * h[j][k]
     return not any(r)
-
-
-def _scalar_shape(col) -> tuple[int, float]:
-    """(pivot row, degree of the pivot entry) of a Z_p[x] column."""
-    r = _pivot_row(col)
-    return r, (col[r].degree if r >= 0 else -1)
-
-
-def scalar_kernel(columns) -> list[tuple[int, ...]]:
-    """Basis of {X in Z_p^l | A X = 0} using only scalar column moves.
-
-    The matrix is driven to standard form: within each pivot row the
-    pivot-entry degrees are pairwise distinct (and the surviving columns
-    therefore Z_p-independent).  Ties are broken toward the leftmost
-    column of minimal pivot degree, which makes the output deterministic.
-    """
-    l = len(columns)
-    work = [list(c) for c in columns]
-    u = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
-
-    while True:
-        groups: dict[tuple[int, float], list[int]] = {}
-        for j in range(l):
-            shape = _scalar_shape(work[j])
-            if shape[0] >= 0:
-                groups.setdefault(shape, []).append(j)
-        clash = None
-        for shape in sorted(groups):
-            if len(groups[shape]) > 1:
-                clash = groups[shape]
-                break
-        if clash is None:
-            break
-        keep = clash[0]
-        row = _pivot_row(work[keep])
-        lead = work[keep][row]
-        p = lead.p
-        inv = pow(lead.lead, -1, p)
-        for j in clash[1:]:
-            f = (work[j][row].lead * inv) % p
-            for k in range(len(work[j])):
-                work[j][k] = work[j][k] - f * work[keep][k]
-            for k in range(l):
-                u[j][k] = (u[j][k] - f * u[keep][k]) % p
-
-    return [tuple(u[j]) for j in range(l) if _pivot_row(work[j]) == -1]

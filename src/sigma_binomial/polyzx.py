@@ -55,6 +55,10 @@ _SMALL_PRIMES = tuple(
 # 318665857834031151167461, so 41 is needed.  Above the bound: BPSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+# Squarings one rho search may spend over all its restarts.  Rho's time
+# grows with the square root of the least prime factor, so no bound on
+# the size of n bounds it; this one stops it within a few seconds.
+_RHO_BUDGET = 1 << 22
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -150,10 +154,17 @@ def _is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """A proper factor of the odd composite n, by Brent's variant of rho."""
+    """A proper factor of the odd composite n, by Brent's variant of rho.
+
+    Raises ValueError, naming n, once ``_RHO_BUDGET`` squarings are spent.
+    """
+    budget = _RHO_BUDGET
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            budget -= 2 * r  # at most r squarings for x, r more for the batches
+            if budget < 0:
+                raise ValueError("cannot factor %d within %d rho steps" % (n, _RHO_BUDGET))
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -198,7 +209,8 @@ def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n|, ascending.
 
     Primes below 1000 are divided out; the cofactor is split by
-    Pollard-Brent rho, each part tested by ``_is_prime``.
+    Pollard-Brent rho, each part tested by ``_is_prime``.  A part that rho
+    cannot split within its budget raises ValueError.
     """
     out, n = _trial_divide(n)
     stack = [n] if n > 1 else []

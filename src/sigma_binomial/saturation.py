@@ -21,11 +21,11 @@ iff L : r = {h | r*h in L} is larger than L, and L : r is read off one
 kernel computation.  Its GHNF columns outside L are then the witnesses,
 each with its least multiplier into L.
 
-For one prime p, ZFactor (Example 7.5, step 3.4) takes a single HNF
-over Z_p[x] of the blocks' last columns mod p, and reads their kernel
-off its zero columns.  Every candidate is tracked only by its
-expression e over the columns; h = (sum e_l * column_l) / p is computed
-once, when the candidate is tested.
+For one prime p, ZFactor reads the kernel of all the columns mod p off
+one HNF over Z_p[x]; each kernel vector e gives a candidate
+h = (sum e_l * column_l) / p.  This kernel finds all p-torsion (see
+``_zfactor_prime``), which Example 7.5, step 3.4, finds in three steps
+from the blocks' last columns and C_-.
 
 Witnesses carry exact linear certificates: every SatWitnessX satisfies
 x*h = sum(e_l * column_l) with integer e, every SatWitnessZ satisfies
@@ -40,11 +40,10 @@ from math import lcm
 
 from . import pid_linalg
 from .constants import SigmaConfig, o_m
-from .polyzx import IntPoly, ModPoly, _is_prime, _trial_divide, mod_reduce
+from .polyzx import IntPoly, _is_prime, _trial_divide, mod_reduce
 from .zx_lattice import (
     GhnfBasis,
     LatVec,
-    _c_minus_items,
     gker,
     ghnf,
     ghnf_track,
@@ -122,82 +121,38 @@ def sat_x(gens, n: int | None = None) -> GhnfBasis:
     return _saturate(gens, n, "x")
 
 
-def _block_end_indices(basis: GhnfBasis) -> list[int]:
-    return [b.start + b.size - 1 for b in basis.blocks]
-
-
-def _vec_mod(v: LatVec, p: int) -> list[ModPoly]:
-    return [mod_reduce(e, p) for e in v.entries]
-
-
-def _candidates(basis: GhnfBasis, p: int, exprs) -> list[SatWitnessZ]:
-    """The h = (sum e_l * column_l) / p outside the lattice, each with its e."""
-    out = []
-    for e in exprs:
-        v = LatVec.zero(basis.n)
-        for coeff, col in zip(e, basis.columns):
-            if coeff:
-                v = v + coeff * col
-        h = v.exact_div(p)
-        if grem(h, basis):
-            out.append(SatWitnessZ(h, p, tuple(e)))
-    return out
-
-
 def _zfactor_prime(basis: GhnfBasis, p: int) -> list[SatWitnessZ]:
     """The ZFactor witnesses for one prime p, from one HNF B = F*T over
-    Z_p[x] of the block-end columns F mod p (Example 7.5, step 3.4).
+    Z_p[x] of all the columns F mod p.
 
-    A zero column of B makes the matching column of T a kernel vector of
-    F, and each kernel vector is a candidate.  Without a kernel, every
-    element of C_- is reduced mod p against B; those that reduce to zero
-    are the candidates, and failing a witness among them, the Z_p-relations
-    among the nonzero residues are.  A candidate is tracked only by its
-    expression e over the columns, which is divisible by p once applied.
+    Each zero column of B makes the matching column of T, lifted to e
+    over Z[x], a kernel vector of F; then v = sum(e_l * column_l) is 0
+    mod p, and h = v/p is kept when it lies outside L.
+
+    The list is empty iff L has no p-torsion.  Suppose p*h in L with h
+    outside L, and write p*h = sum(e_l * column_l).  Then e mod p lies in
+    the kernel K of F.  T is invertible and the pivot columns of B are
+    independent, so K is spanned by the columns t_i of T at the zero
+    columns of B, and e = sum(c_i * lift(t_i)) + p*w with c_i, w over
+    Z[x].  Each v_i = sum(lift(t_i)_l * column_l) is p*h_i, and since
+    Z[x]^n has no torsion, h = sum(c_i * h_i) + sum(w_l * column_l).  As
+    h is outside L, so is some h_i.
+
+    Example 7.5, step 3.4, takes the kernel of the blocks' last columns
+    only, then reduces C_- mod p and looks for Z_p-relations among the
+    residues.  The kernel of all the columns covers both steps at once.
     """
     cols = basis.columns
-    ends = _block_end_indices(basis)
-    b, t = pid_linalg.hnf_modpoly([_vec_mod(cols[i], p) for i in ends], p)
-
-    def expr(parts):
-        e = [IntPoly() for _ in cols]
-        for j, c in parts:
-            e[j] = e[j] + c
-        return e
-
-    kernel = [tk for bk, tk in zip(b, t) if not any(bk)]
-    if kernel:
-        return _candidates(basis, p, (
-            expr((j, c.lift()) for j, c in zip(ends, tk) if c) for tk in kernel
-        ))
-
-    residues, zero = [], []
-    for col_idx, shift in _c_minus_items(basis):
-        fmod = _vec_mod(cols[col_idx].shift(shift), p)
-        e = expr([(col_idx, IntPoly.term(1, shift))])
-        # reduce against the HNF columns, bottom row first
-        for bk, tk in zip(reversed(b), reversed(t)):
-            row = pid_linalg._pivot_row(bk)
-            if not fmod[row]:
-                continue
-            q = divmod(fmod[row], bk[row])[0]
-            if q:
-                fmod = [a - q * c for a, c in zip(fmod, bk)]
-                ql = q.lift()
-                for j, c in zip(ends, tk):
-                    if c:
-                        e[j] = e[j] - ql * c.lift()
-        (residues if any(fmod) else zero).append((fmod, e))
-
-    out = _candidates(basis, p, (e for _, e in zero))
-    if out or not residues:
-        return out
-    relations = pid_linalg.scalar_kernel([r for r, _ in residues])
-    return _candidates(basis, p, (
-        expr((l, c * er[l]) for c, (_, er) in zip(bvec, residues) if c
-             for l in range(len(cols)) if er[l])
-        for bvec in relations
-    ))
+    b, t = pid_linalg.hnf_modpoly([[mod_reduce(a, p) for a in c.entries] for c in cols], p)
+    out = []
+    for bk, tk in zip(b, t):
+        if any(bk):
+            continue
+        e = tuple(c.lift() for c in tk)
+        h = sum((c * col for c, col in zip(e, cols) if c), LatVec.zero(basis.n)).exact_div(p)
+        if grem(h, basis):
+            out.append(SatWitnessZ(h, p, e))
+    return out
 
 
 def _order(basis: GhnfBasis, h: LatVec) -> int:

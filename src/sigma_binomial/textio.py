@@ -114,6 +114,9 @@ def _term_to_parts(term: str) -> tuple[FieldConst, dict[int, IntPoly]]:
 
 
 def _exps_to_vec(exps: dict[int, IntPoly], n: int) -> LatVec:
+    """The exponent vector over y1..yn; a variable past yn is an error."""
+    if exps and max(exps) >= n:
+        raise ValueError("variable y%d is past the last of n = %d variables" % (max(exps) + 1, n))
     return LatVec(exps.get(i, IntPoly()) for i in range(n))
 
 

@@ -721,26 +721,19 @@ def enumerate_c(basis: GhnfBasis, degree_bound: int) -> tuple[list[LatVec], list
     x^j below the next pivot degree; C_oo adds every shift of the final
     block columns.  Both lists come back ordered by leading term.
     """
-    items = _c_minus_items(basis)
-    c_minus = [basis.columns[i].shift(k) for i, k in items]
-    c_inf = [v for v, (_, k) in zip(c_minus, items) if k <= degree_bound]
+    items = []  # (x^k * column, k)
+    for b in basis.blocks:
+        for j in range(b.size - 1):
+            col = basis.columns[b.start + j]
+            items.extend((col.shift(k), k) for k in range(b.degrees[j + 1] - b.degrees[j]))
+    items.sort(key=lambda t: _lt_key(t[0]))
+    c_minus = [v for v, _ in items]
+    c_inf = [v for v, k in items if k <= degree_bound]
     for b in basis.blocks:
         last = basis.columns[b.start + b.size - 1]
         c_inf.extend(last.shift(k) for k in range(degree_bound + 1))
     c_inf.sort(key=_lt_key)
     return c_minus, c_inf
-
-
-def _c_minus_items(basis: GhnfBasis) -> list[tuple[int, int]]:
-    """(column index, shift) pairs generating C_- in leading-term order."""
-    items = []
-    for b in basis.blocks:
-        for j in range(b.size - 1):
-            gap = b.degrees[j + 1] - b.degrees[j]
-            for k in range(gap):
-                items.append((b.start + j, k))
-    items.sort(key=lambda t: _lt_key(basis.columns[t[0]].shift(t[1])))
-    return items
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,28 @@ def test_decomposition_unit_exit_1(cmd):
     assert (code, out) == (1, "unit\n")
     code, out = call([cmd, "--json"], "y1 - 1\ny1 - 2\n")
     assert code == 1 and json.loads(out) == {"unit": True}
+
+
+@pytest.mark.parametrize("args, inp, var, n", [
+    (["charset", "--nvars", "1"], "y1*y2 - 1\n", "y2", 1),
+    (["dec-binomial", "--nvars", "2"], "y1*y2^(x) - y3\n", "y3", 2),
+    (["member", "--query", "y1*y2 - 1"], "y1 - 1\n", "y2", 1),
+], ids=["charset", "dec-binomial", "member"])
+def test_variable_past_nvars_exit_2(capsys, args, inp, var, n):
+    code, out = call(args, inp)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert var in err and "n = %d" % n in err
+
+
+def test_unfactorable_constant_exit_2(capsys):
+    # (2^61 - 1)(2^89 - 1): rho would need about 2^30 steps to split it
+    big = (2**61 - 1) * (2**89 - 1)
+    start = time.perf_counter()
+    code, out = call(["charset"], "y1 - %d\n" % big)
+    assert time.perf_counter() - start < 10.0
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(big) in err

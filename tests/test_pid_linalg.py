@@ -1,6 +1,5 @@
 """Tests for HNF and kernel computations over Z and Z_p[x]."""
 
-import itertools
 import random
 from datetime import timedelta
 
@@ -14,7 +13,6 @@ from sigma_binomial.pid_linalg import (
     hnf_modpoly,
     int_lattice_contains,
     ker_int,
-    scalar_kernel,
 )
 from sigma_binomial.polyzx import ModPoly, mod_reduce, poly_from_str
 
@@ -139,91 +137,6 @@ def test_ker_modpoly_annihilates_randomized():
                 for j in range(cols):
                     acc = acc + f[j][r] * x[j]
                 assert not acc
-
-
-def test_scalar_kernel_example():
-    e = M(2, ("x", "0"), ("1", "0"), ("x", "0"))
-    basis = scalar_kernel(e)
-    assert basis == [(1, 0, 1)]  # (1, 0, -1) over Z_2
-    assert scalar_kernel(M(2, ("x", "0"), ("1", "x"))) == []
-    dup = scalar_kernel(M(3, ("x+1", "x"), ("x+1", "x")))
-    assert len(dup) == 1 and (dup[0][0] + dup[0][1]) % 3 == 0
-
-
-def test_scalar_kernel_exhaustive_small():
-    rng = random.Random(21)
-    for _ in range(60):
-        p = rng.choice([2, 3])
-        rows, cols = rng.randint(1, 2), rng.randint(1, 4)
-        e = rand_modpoly_columns(rng, p, rows, cols)
-        basis = scalar_kernel(e)
-        # brute force over Z_p^cols
-        kernel = set()
-        for x in itertools.product(range(p), repeat=cols):
-            ok = True
-            for r in range(rows):
-                acc = ModPoly(p)
-                for j in range(cols):
-                    acc = acc + e[j][r] * x[j]
-                if acc:
-                    ok = False
-                    break
-            if ok:
-                kernel.add(x)
-        span = set()
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            v = [0] * cols
-            for c, b in zip(coeffs, basis):
-                for j in range(cols):
-                    v[j] = (v[j] + c * b[j]) % p
-            span.add(tuple(v))
-        assert span == kernel
-
-
-def test_standard_form_degree_discipline():
-    rng = random.Random(33)
-
-    for _ in range(40):
-        p = rng.choice([2, 3])
-        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
-        e = rand_modpoly_columns(rng, p, rows, cols)
-        # replay the reduction to inspect the final shapes
-        work = [list(c) for c in e]
-        basis = scalar_kernel(e)  # drives its own copy; recompute shapes here
-        shapes = {}
-        # after scalar_kernel, the invariant is about its internal state; we
-        # validate the public claim instead: surviving shapes are distinct
-        # within each pivot row when re-running the elimination
-        from sigma_binomial import pid_linalg as pl
-
-        work2 = [list(c) for c in e]
-        u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        while True:
-            groups = {}
-            for j in range(cols):
-                shape = pl._scalar_shape(work2[j])
-                if shape[0] >= 0:
-                    groups.setdefault(shape, []).append(j)
-            clash = None
-            for shape in sorted(groups):
-                if len(groups[shape]) > 1:
-                    clash = groups[shape]
-                    break
-            if clash is None:
-                break
-            keep = clash[0]
-            row = pl._pivot_row(work2[keep])
-            lead = work2[keep][row].lead
-            for j in clash[1:]:
-                fct = (work2[j][row].lead * pow(lead, -1, p)) % p
-                for k in range(rows):
-                    work2[j][k] = work2[j][k] - fct * work2[keep][k]
-        seen = {}
-        for j in range(cols):
-            shape = pl._scalar_shape(work2[j])
-            if shape[0] >= 0:
-                assert shape not in seen
-                seen[shape] = j
 
 
 @pytest.fixture(scope="module")

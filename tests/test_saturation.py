@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import V, rand_vec, saturation_systems
 from sigma_binomial.constants import SigmaConfig
-from sigma_binomial.polyzx import IntPoly, _is_prime, prime_factors
+from sigma_binomial.polyzx import IntPoly, _is_prime, _trial_divide, prime_factors
 from sigma_binomial.zx_lattice import (
     LatVec,
     contains,
@@ -23,6 +23,7 @@ from sigma_binomial.zx_lattice import (
     verify_ghnf,
 )
 from sigma_binomial.saturation import (
+    _zfactor_colon,
     _zfactor_prime,
     is_saturated,
     sat_full,
@@ -319,3 +320,56 @@ def test_zfactor_agrees_with_prime_by_prime(lattice):
         assert w.k * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
         assert not contains(basis, w.h)
     assert sat_z(gens, n).basis == _sat_z_by_primes(gens, n)
+
+
+def test_zfactor_prime_agrees_with_colon():
+    # the one Z_p[x]-kernel of all the columns finds p-torsion exactly when
+    # the independent colon test L : p does
+    pairs = torsion = 0
+    for n, gens, _ in saturation_systems():
+        basis = ghnf(gens, n)
+        small, r = _trial_divide(math.prod(b.leading_coeffs[0] for b in basis.blocks))
+        for p in small + ([r] if 1 < r < 10**6 else []):
+            assert _is_prime(p)
+            wits = _zfactor_prime(basis, p)
+            assert (wits == []) == (_zfactor_colon(basis, p) == []), (gens, p)
+            for w in wits:
+                assert w.k == p and not contains(basis, w.h)
+                assert p * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
+            pairs += 1
+            torsion += bool(wits)
+    assert (pairs, torsion) == (279, 146)
+
+
+@st.composite
+def lattices_and_vector(draw):
+    """(n, generators, v): the criterion-9 saturation family's sizes, and
+    one more vector v of the same shape."""
+    n = draw(st.integers(1, 3))
+    poly = st.lists(st.integers(-6, 6), max_size=3).map(IntPoly)
+    vec = st.lists(poly, min_size=n, max_size=n).map(LatVec)
+    return n, draw(st.lists(vec, min_size=1, max_size=3)), draw(vec)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(lattices_and_vector())
+def test_saturation_closure_properties(lattice):
+    # every saturation is idempotent, contains its generators and is
+    # monotone under adjoining a vector
+    n, gens, v = lattice
+    sats = {
+        "x": lambda g: sat_x(g, n),
+        "z": lambda g: sat_z(g, n).basis,
+        "full": lambda g: sat_full(g, n),
+    }
+    for sigma in (ID, CONJ):
+        sats["m/" + sigma.name] = lambda g, sigma=sigma: sat_m(g, sigma, n)
+        sats["p/" + sigma.name] = lambda g, sigma=sigma: sat_p(g, sigma, n)
+    for kind, sat in sats.items():
+        s = sat(gens)
+        assert sat(list(s.columns)).columns == s.columns, kind
+        assert all(contains(s, g) for g in gens), kind
+        larger = sat(gens + [v])
+        assert all(contains(larger, c) for c in s.columns), kind
+    tracked = sat_z(sat_z(gens, n).basis)
+    assert all(m == 1 for m in tracked.multipliers)
