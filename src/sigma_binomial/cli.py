@@ -135,6 +135,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.nvars is not None and args.nvars < 0:
+        print("error: --nvars must be at least 0, got %d" % args.nvars, file=sys.stderr)
+        return 2
     sigma = SigmaConfig.IDENTITY if args.sigma == "id" else SigmaConfig.CONJUGATION
     try:
         text = _read_input(args.input)

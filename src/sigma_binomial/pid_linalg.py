@@ -30,7 +30,7 @@ def _pivot_row(col) -> int:
     return -1
 
 
-def _hnf(columns, want_u, zero, one, size, near, unit):
+def _hnf(columns, want_u, zero, one, size, near, unit, start=None):
     """Column HNF with transformation over a Euclidean domain: (H, U), A*U = H.
 
     U is invertible.  Zero columns of H come first; pivot columns follow
@@ -45,13 +45,24 @@ def _hnf(columns, want_u, zero, one, size, near, unit):
     before it are reduced modulo it, which keeps their entries from
     swelling.  U is only built when ``want_u`` is set; otherwise it comes
     back as an empty list.
+
+    ``start``, one column per input column, is the transform U starts
+    from instead of the identity: when the columns are A0*start for some
+    earlier matrix A0, the returned U satisfies A0*U = H.  This is how an
+    HNF is extended by new columns without redoing it: the previous H,
+    its transform, and unit columns for the new inputs.
     """
     s = len(columns)
     n = len(columns[0]) if columns else 0
     work = [list(c) for c in columns]
-    u = [[one if i == j else zero for i in range(s)] for j in range(s)] if want_u else []
+    if not want_u:
+        u = []
+    elif start is None:
+        u = [[one if i == j else zero for i in range(s)] for j in range(s)]
+    else:
+        u = [list(c) for c in start]
 
-    def nonzeros(vec, stop):
+    def nonzeros(vec, stop=None):
         return [(k, c) for k, c in enumerate(vec[:stop]) if c]
 
     def sub(j, q, terms, uterms):
@@ -78,7 +89,7 @@ def _hnf(columns, want_u, zero, one, size, near, unit):
             i = min(live, key=lambda j: size(work[j][row], j))
             a = work[i][row]
             terms = nonzeros(work[i], row + 1)
-            uterms = nonzeros(u[i], s) if want_u else ()
+            uterms = nonzeros(u[i]) if want_u else ()
             rest = [i]
             for j in live:
                 if j == i:
@@ -98,11 +109,13 @@ def _hnf(columns, want_u, zero, one, size, near, unit):
             if want_u:
                 u[i] = [c * v for v in u[i]]
         p = work[i][row]
-        terms = nonzeros(work[i], row + 1)
-        uterms = nonzeros(u[i], s) if want_u else ()
+        terms = None  # built on first use: an extended HNF leaves most rows alone
         for k in fixed:
             q = divmod(work[k][row], p)[0]
             if q:
+                if terms is None:
+                    terms = nonzeros(work[i], row + 1)
+                    uterms = nonzeros(u[i]) if want_u else ()
                 sub(k, q, terms, uterms)
         fixed.append(i)
 
@@ -118,16 +131,17 @@ def _nearest(a: int, b: int) -> int:
 
 
 def _hnf_int(
-    columns: list[list[int]], want_u: bool = True
+    columns: list[list[int]], want_u: bool = True, start: list[list[int]] | None = None
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Column HNF over Z with transformation: returns (H, U), A*U = H.
 
     U is unimodular, pivots are positive, and the pivot-row entries of
     later columns lie in [0, pivot).  H is unique for the Z-span of the
-    columns; U is not.
+    columns; U is not.  With ``start`` (see ``_hnf``), U is start times
+    the elimination's transform.
     """
     return _hnf(columns, want_u, 0, 1, lambda a, j: abs(a), _nearest,
-                lambda a: -1 if a < 0 else 1)
+                lambda a: -1 if a < 0 else 1, start)
 
 
 def hnf_modpoly(columns, p: int):

@@ -9,7 +9,8 @@ cap, flattened row-major so that a column's HNF pivot is its leading
 term, contains the basis once the cap is large enough.  The columns with
 minimal leading terms are tail-reduced and then certified by
 Buchberger's criterion (every input and every same-row S-vector reduces
-to zero); a failed certificate doubles the cap's margin and retries.
+to zero); a failed certificate raises the cap by one, and the last HNF
+is extended by the new shifts of that degree rather than recomputed.
 
 Two reduction conventions coexist on purpose:
 
@@ -353,8 +354,19 @@ def s_vector(f: LatVec, g: LatVec) -> LatVec:
         raise ZeroVector("S-vector of a zero vector")
     if f.leading_term().row != g.leading_term().row:
         return LatVec.zero(f.n)
+    # mf and mg are monomials, one of them a constant: S is a scalar
+    # multiple of f minus one of a shift of g, built row by row
     mf, mg = _s_multipliers(f, g)
-    return mf * f - mg * g
+    df, cf, dg, cg = mf.degree, mf.lead, mg.degree, mg.lead
+    rows = []
+    for a, b in zip(f.entries, g.entries):
+        out = [0] * max(len(a.coeffs) + df, len(b.coeffs) + dg)
+        for k, c in enumerate(a.coeffs):
+            out[k + df] = cf * c
+        for k, c in enumerate(b.coeffs):
+            out[k + dg] -= cg * c
+        rows.append(IntPoly(out))
+    return LatVec(rows)
 
 
 def _s_multipliers(f: LatVec, g: LatVec) -> tuple[IntPoly, IntPoly]:
@@ -410,63 +422,76 @@ def _reduce_tracked(item: _Tracked, basis: list[_Tracked], track: bool) -> _Trac
     return _Tracked(r, expr)
 
 
-def _precondition(items: list[_Tracked], n: int, cap: int, track: bool) -> list[_Tracked]:
-    """The integer HNF of every shift x^j g of degree <= cap.
+def _precondition(
+    items: list[_Tracked], cap: int, h: list[list[int]], u: list[list[int]],
+    origin: list[tuple[int, int]], track: bool,
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Extend the integer HNF of the shifts x^j g to the degree cap.
 
     Each shift is flattened row-major into Z^(n(cap+1)), so the bottom-most
-    pivot of a flattened column is its leading term.  Returns the nonzero
-    HNF columns in ascending leading-term order, with their expressions
-    over the inputs read from the HNF transform when ``track`` is set.
+    pivot of a flattened column is its leading term.  ``h`` holds the
+    nonzero HNF columns of the shifts of degree below cap, flattened at
+    width cap; it is empty before the first round, which takes every
+    shift of degree <= cap afresh.  A zero at the top of each row block
+    widens h to width cap + 1 and keeps it in HNF, so a later round only
+    adds the new shifts x^(cap - deg g) g, one per input, and eliminates
+    them against h, started from h's transforms ``u``.  Returns the
+    nonzero HNF columns at cap, in ascending leading-term order, and,
+    when ``track`` is set, their transforms over the shifts listed in
+    ``origin`` as (input index, j); ``origin`` grows by the new shifts.
     """
+    n = items[0].vec.n
     width = cap + 1
-    flat = []
-    origin = []
+    known = len(origin)
+    flat = [[v for r in range(n) for v in col[r * cap : (r + 1) * cap] + [0]] for col in h]
     for idx, it in enumerate(items):
+        deg = it.vec.max_degree()
         blocks = [e.coeffs for e in it.vec.entries]
-        for j in range(cap - it.vec.max_degree() + 1):
+        for j in range(cap - deg if h else 0, cap - deg + 1):
             col = []
             for cs in blocks:
                 col.extend((0,) * j + cs + (0,) * (width - j - len(cs)))
             flat.append(col)
             origin.append((idx, j))
-    h, u = pid_linalg._hnf_int(flat, want_u=track)
-    out = []
-    for k in range(len(h)):
-        if not any(h[k]):
-            continue
-        entries = [IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n)]
-        expr = None
-        if track:
-            s = len(items[0].expr)
-            expr = [IntPoly() for _ in range(s)]
-            for pos, coeff in enumerate(u[k]):
-                if coeff:
-                    idx, j = origin[pos]
-                    mult = IntPoly.term(coeff, j)
-                    for l in range(s):
-                        if items[idx].expr[l]:
-                            expr[l] = expr[l] + mult * items[idx].expr[l]
-            expr = tuple(expr)
-        out.append(_Tracked(LatVec(entries), expr))
-    return out
+    start = None
+    if track:
+        added = len(origin) - known
+        start = [uk + [0] * added for uk in u]
+        start += [[int(i == k) for i in range(len(origin))] for k in range(known, len(origin))]
+    hk, uk = pid_linalg._hnf_int(flat, want_u=track, start=start)
+    nonzero = [k for k in range(len(hk)) if any(hk[k])]
+    return [hk[k] for k in nonzero], ([uk[k] for k in nonzero] if track else [])
 
 
-def _minimal_chain(cols: list[_Tracked]) -> list[_Tracked] | None:
-    """Drop the columns whose leading term a lower kept one divides.
+def _expression(ucol: list[int], origin, items: list[_Tracked]) -> tuple[IntPoly, ...]:
+    """The expression over the inputs of the HNF column with transform ucol."""
+    s = len(items[0].expr)
+    expr = [IntPoly() for _ in range(s)]
+    for pos, coeff in enumerate(ucol):
+        if coeff:
+            idx, j = origin[pos]
+            mult = IntPoly.term(coeff, j)
+            for l in range(s):
+                if items[idx].expr[l]:
+                    expr[l] = expr[l] + mult * items[idx].expr[l]
+    return tuple(expr)
 
-    ``cols`` come in ascending leading-term order.  Returns None unless,
+
+def _minimal_chain(keys: list[tuple[int, int, int]]) -> list[int] | None:
+    """Indices of the leading terms that no lower kept one divides.
+
+    ``keys`` come in ascending leading-term order.  Returns None unless,
     in every row, each kept leading coefficient properly divides the one
     kept before it, which a Groebner basis of one variable must satisfy.
     """
-    kept: list[_Tracked] = []
-    for it in cols:
-        row, _, lc = it.key
-        prev = kept[-1].key if kept and kept[-1].key[0] == row else None
+    kept: list[int] = []
+    for k, (row, _, lc) in enumerate(keys):
+        prev = keys[kept[-1]] if kept and keys[kept[-1]][0] == row else None
         if prev is None:
-            kept.append(it)
+            kept.append(k)
         elif prev[2] % lc == 0:
             if prev[2] != lc:
-                kept.append(it)
+                kept.append(k)
         elif lc % prev[2]:
             return None
     return kept
@@ -488,15 +513,16 @@ def _certified(basis: list[_Tracked], inputs: list[_Tracked]) -> bool:
 def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> list[_Tracked]:
     """The reduced Groebner basis of the inputs' Z[x]-lattice, by linear algebra.
 
-    Each round takes the integer HNF of the shifts of the inputs up to the
-    degree cap W = top + b, where top is the largest input degree and b
-    starts at 1 (``_precondition``).  It keeps the columns whose
-    leading terms are minimal, tail-canonicalizes them with ``_reduce``
-    and certifies the result: every input and every same-row S-vector
-    must reduce to zero.  A round whose leading coefficients do not form
-    a divisibility chain, or whose certificate fails, doubles b.  HNF
-    cells and reductions spend from ``max_steps``; running out raises
-    RuntimeError.
+    Round b holds the integer HNF of the shifts of the inputs up to the
+    degree cap top + b, where top is the largest input degree.  The first
+    round computes it afresh; each later one extends the last HNF by one
+    degree (``_precondition``).  A round keeps the columns whose leading
+    terms are minimal, tail-canonicalizes them with ``_reduce`` and
+    certifies the result: every input and every same-row S-vector must
+    reduce to zero.  A round whose leading coefficients do not form a
+    divisibility chain, or whose certificate fails, moves to the next
+    cap.  Expressions are built only for the kept columns.  HNF cells and
+    reductions spend from ``max_steps``; running out raises RuntimeError.
     """
     items = [it for it in inputs if it.vec]
     if not items:
@@ -504,14 +530,24 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> l
     n = items[0].vec.n
     top = max(it.vec.max_degree() for it in items)
     budget = max_steps
-    b = 1
+    h: list[list[int]] = []
+    u: list[list[int]] = []
+    origin: list[tuple[int, int]] = []
+    cap = top
     while True:
-        cap = top + b
-        shape = (n * (cap + 1), sum(cap - it.vec.max_degree() + 1 for it in items))
+        cap += 1
+        width = cap + 1
+        known, prev = len(origin), len(h)
+        h, u = _precondition(items, cap, h, u, origin, track)
+        shape = (n * width, prev + len(origin) - known)
         budget -= shape[0] * shape[1]
-        cols = _precondition(items, n, cap, track)
-        basis = _minimal_chain(cols)
-        if basis is not None:
+        pivots = [pid_linalg._pivot_row(col) for col in h]
+        kept = _minimal_chain([(p // width + 1, p % width, h[k][p]) for k, p in enumerate(pivots)])
+        if kept is not None:
+            basis = []
+            for k in kept:
+                vec = LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
+                basis.append(_Tracked(vec, _expression(u[k], origin, items) if track else None))
             # canonical form only depends on the others' leading terms,
             # so one pass leaves every tail reduced
             for idx in range(len(basis)):
@@ -527,7 +563,6 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> l
                 "completion did not stabilize: degree cap %d, last HNF %dx%d"
                 % (cap, shape[0], shape[1])
             )
-        b *= 2
 
 
 def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:

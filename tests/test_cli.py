@@ -259,6 +259,19 @@ def test_variable_past_nvars_exit_2(capsys, args, inp, var, n):
     assert var in err and "n = %d" % n in err
 
 
+@pytest.mark.parametrize("cmd, inp", [
+    ("dec-laurent", "\n"),
+    ("charset", "\n"),
+    ("ghnf", "1, x\n"),
+], ids=["dec-laurent", "charset", "ghnf"])
+def test_negative_nvars_exit_2(capsys, cmd, inp):
+    code, out = call([cmd, "--nvars", "-2"], inp)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--nvars" in err
+
+
 def test_unfactorable_constant_exit_2(capsys):
     # (2^61 - 1)(2^89 - 1): rho would need about 2^30 steps to split it
     big = (2**61 - 1) * (2**89 - 1)

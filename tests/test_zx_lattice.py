@@ -27,6 +27,7 @@ from sigma_binomial.zx_lattice import (
     s_vector,
     syzygy_basis,
     verify_ghnf,
+    _s_multipliers,
 )
 
 P = poly_from_str
@@ -285,13 +286,13 @@ def test_ghnf_track_columns_are_their_expressions(lattice):
         assert acc == col
 
 
-def _square_tail(maxcoeff: int, trial: int) -> list[LatVec]:
-    """n = s = 4, degree-3 generators drawn from the tail seed 1, as the benchmark does."""
+def _square_tail(maxcoeff: int, trial: int, n: int = 4, maxdeg: int = 3) -> list[LatVec]:
+    """n = s generators of the given degree drawn from the tail seed 1, as the benchmark does."""
     rng = random.Random(1)
     for _ in range(trial):
-        for _ in range(4):
-            rand_vec(rng, 4, 3, maxcoeff)
-    return [rand_vec(rng, 4, 3, maxcoeff) for _ in range(4)]
+        for _ in range(n):
+            rand_vec(rng, n, maxdeg, maxcoeff)
+    return [rand_vec(rng, n, maxdeg, maxcoeff) for _ in range(n)]
 
 
 @pytest.mark.parametrize("maxcoeff, trial", [(10, 2), (1000, 3)])
@@ -309,6 +310,40 @@ def test_ghnf_former_tail_timeouts(maxcoeff, trial):
     assert tracked == basis
     for col, expr in zip(basis.columns, exprs):
         assert sum((q * g for q, g in zip(expr, gens)), LatVec.zero(4)) == col
+
+
+@pytest.mark.parametrize("trial", [7, 8])
+def test_ghnf_degree_22_tail(trial):
+    # n = s = 5, degree 5, entries <= 1000: both need a GHNF column of
+    # degree 22; redoing the HNF at doubled caps (21, then 37) took 47 s
+    # and 38 s on a 2-vCPU Xeon
+    gens = _square_tail(1000, trial, n=5, maxdeg=5)
+    start = time.perf_counter()
+    basis = ghnf(gens, 5)
+    assert time.perf_counter() - start < 5.0
+    assert max(c.max_degree() for c in basis.columns) == 22
+    ok, problems = verify_ghnf(basis)
+    assert ok, problems
+    assert all(contains(basis, g) for g in gens)
+    tracked, exprs = ghnf_track(gens, 5)
+    assert tracked == basis
+    for col, expr in zip(basis.columns, exprs):
+        assert sum((q * g for q, g in zip(expr, gens)), LatVec.zero(5)) == col
+
+
+@PROPERTY
+@given(lattices())
+def test_s_vector_is_multiplier_combination(lattice):
+    n, gens = lattice
+    vecs = [g for g in gens if g] + list(ghnf(gens, n).columns)
+    for f in vecs:
+        for g in vecs:
+            s = s_vector(f, g)
+            if f.leading_term().row != g.leading_term().row:
+                assert s == LatVec.zero(n)
+            else:
+                mf, mg = _s_multipliers(f, g)
+                assert s == mf * f - mg * g
 
 
 def test_completion_budget_error_names_cap_and_shape():

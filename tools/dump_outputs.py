@@ -7,8 +7,10 @@ SRC_ROOT is the root of a checkout (holding ``src/`` and ``bench/``);
 the library and the benchmark's instance generators are both taken from
 it.  OUT receives one line per output:
 
-- every output of the ``saturate``, ``decompose`` and ``cli_paper``
-  benchmark pools, rendered as the benchmark renders it;
+- every output of the ``lattice``, ``saturate``, ``decompose`` and
+  ``cli_paper`` benchmark pools, rendered as the benchmark renders it,
+  except that a ``gker`` output is written as the GHNF of the kernel it
+  generates: its generator list is not canonical, the kernel is;
 - on the criterion-9 saturation family, per seed and trial: the
   ``zfactor`` witnesses (h, k, e) of the input's GHNF, ``sat_z`` with
   its multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
@@ -78,10 +80,11 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
         out.write("%s %s\n" % (tag, json.dumps(value if isinstance(value, str) else repr(value))))
         lines += 1
 
-    for workload in ("saturate", "decompose", "cli_paper"):
+    for workload in ("lattice", "saturate", "decompose", "cli_paper"):
         for idx, inst in enumerate(gen.POOLS[workload]()):
             op = worker.prepare(sb, cli, inst)
-            emit("%s/%d" % (workload, idx), _guard(lambda: op.render(op.call())))
+            text = op.canon if inst["op"] == "gker" else op.render
+            emit("%s/%d" % (workload, idx), _guard(lambda: text(op.call())))
 
     sigmas = (sb.SigmaConfig.IDENTITY, sb.SigmaConfig.CONJUGATION)
     for seed in sat_seeds:
