@@ -28,6 +28,7 @@ from .zx_lattice import (
     contains,
     enumerate_c,
     ghnf,
+    ghnf_kernel,
     ghnf_track,
     gker,
     grem,

@@ -22,6 +22,7 @@ from .laurent import (
     PartialCharacter,
     dec_laurent,
     is_unit,
+    make_character,
     member,
 )
 
@@ -240,8 +241,6 @@ def dec_binomial(items, sigma: SigmaConfig, n: int | None = None) -> list[Compon
 
 
 def component_character(comp: Component, sigma: SigmaConfig) -> PartialCharacter:
-    from .laurent import make_character
-
     if comp.character is not None:
         return comp.character
     rho = make_character([to_laurent(b) for b in comp.chain], sigma, comp.n)
@@ -257,14 +256,11 @@ def member_sat(b: PlainBinomial, comp: Component, sigma: SigmaConfig) -> bool:
     binomial of the component's Laurent ideal (a surviving monomial or
     constant never belongs to the proper saturation ideal).
     """
-    plus_dead = _touches(b.fplus, comp.zero_vars)
-    minus_dead = False if b.is_monomial else _touches(b.fminus, comp.zero_vars)
-    if b.is_monomial:
-        return plus_dead
-    if plus_dead and minus_dead:
-        return True
-    if plus_dead or minus_dead:
+    survivors = _substitute_zero((b,), comp.zero_vars)
+    if survivors is None or (survivors and survivors[0].is_monomial):
         return False
+    if not survivors:
+        return True
     support = b.fplus - b.fminus
     if not support:
         return b.constant.is_one()

@@ -18,7 +18,7 @@ from . import laurent as laurent_mod
 from . import saturation, textio
 from .constants import SigmaConfig
 from .laurent import is_unit
-from .zx_lattice import ghnf
+from .zx_lattice import DimensionError, ghnf, gker
 
 BOOL_COMMANDS = {
     "is-prime": laurent_mod.is_prime,
@@ -161,12 +161,12 @@ def _dispatch(args, sigma: SigmaConfig, text: str) -> int:
     if cmd in ("ghnf", "kernel", "is-saturated") or cmd in SAT_COMMANDS:
         cols = textio.parse_matrix(text)
         n = args.nvars if args.nvars is not None else (cols[0].n if cols else 0)
+        if any(c.n != n for c in cols):
+            raise DimensionError("mixed dimensions in generators")
         if cmd == "ghnf":
             _emit_ghnf(ghnf(cols, n), args.json)
             return 0
         if cmd == "kernel":
-            from .zx_lattice import gker
-
             gens = gker(cols)
             if args.json:
                 print(json.dumps(

@@ -27,9 +27,8 @@ from .zx_lattice import (
     GhnfBasis,
     LatVec,
     DimensionError,
-    ghnf_track,
+    ghnf_kernel,
     grem_track,
-    kernel_from_track,
 )
 from . import saturation
 
@@ -180,16 +179,9 @@ def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
     return acc
 
 
-def _support_part(supports: list[LatVec], n: int):
-    """(basis, exprs, relations) of nonzero supports, from one tracked
-    completion: the GHNF, each column's expression over the supports,
-    and generators of the supports' Z[x]-relations."""
-    basis, exprs = ghnf_track(supports, n)
-    return basis, exprs, kernel_from_track(supports, basis, exprs)
-
-
 def _with_constants(part, consts, sigma: SigmaConfig):
-    """The character with these constants on the part's supports, or UNIT."""
+    """The character with these constants on the supports of
+    ``part = ghnf_kernel(supports)``, or UNIT."""
     basis, exprs, relations = part
     for rel in relations:
         if not _apply(rel.entries, consts, sigma).is_one():
@@ -206,10 +198,13 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     to 1.  The character's basis is the canonical GHNF of the supports
     with constants pushed through the change of generators.
 
-    One tracked completion of the supports gives both the basis and the
-    relations.  That support part does not depend on the constants, so
-    ``dec_laurent`` builds it once for all systems that differ only in
-    their constants and runs the constant part per system.
+    One tracked completion of the supports, ``ghnf_kernel``, gives the
+    basis, the expressions and the relations: its certificate reduces
+    every support and every same-row S-vector of the basis once, and
+    those quotients are the relations.  That support part does not
+    depend on the constants, so ``dec_laurent`` builds it once for all
+    systems that differ only in their constants and runs the constant
+    part per system.
     """
     binomials = list(binomials)
     if n is None:
@@ -227,7 +222,7 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
             return UNIT
         supports.append(b.support)
         consts.append(b.constant)
-    return _with_constants(_support_part(supports, n), consts, sigma)
+    return _with_constants(ghnf_kernel(supports, n), consts, sigma)
 
 
 def member(b: LaurentBinomial, rho: PartialCharacter) -> bool:
@@ -245,11 +240,7 @@ def prem_binomial(b: LaurentBinomial, rho: PartialCharacter) -> LaurentBinomial:
     constants raised to the same cofactors.
     """
     r, qs = grem_track(b.support, rho.basis)
-    c = b.constant
-    for q, d in zip(qs, rho.constants):
-        if q:
-            c = c / pow_zx(d, q, rho.sigma)
-    return LaurentBinomial(r, c)
+    return LaurentBinomial(r, b.constant / _apply(qs, rho.constants, rho.sigma))
 
 
 def is_prime(rho: PartialCharacter) -> bool:
@@ -384,7 +375,7 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
                 "decomposition budget exhausted: %d root choices on one level, more than %d"
                 % (choices, _MAX_ROOT_CHOICES)
             )
-        part = _support_part(list(basis.columns) + [w.h for w in wits], start.n)
+        part = ghnf_kernel(list(basis.columns) + [w.h for w in wits], start.n)
         children = []
         for rho in level:
             root_lists = [kth_roots(_apply(w.e, rho.constants, sigma), w.k) for w in wits]

@@ -12,6 +12,12 @@ Buchberger's criterion (every input and every same-row S-vector reduces
 to zero); a failed certificate raises the cap by one, and the last HNF
 is extended by the new shifts of that degree rather than recomputed.
 
+The certificate is the only Buchberger pass.  Tracked, its quotients
+are the relations: each S-vector's quotients, with the multipliers of
+its pair, give a Schreyer syzygy of the basis, and each input's give
+the input over the basis.  ``ghnf_kernel`` lifts both through the
+basis columns' expressions to the Z[x]-relations among the inputs.
+
 Two reduction conventions coexist on purpose:
 
 * the canonical reduction used by ``grem`` and the completion replaces a
@@ -47,10 +53,10 @@ __all__ = [
     "s_vector",
     "ghnf",
     "ghnf_track",
+    "ghnf_kernel",
     "verify_ghnf",
     "syzygy_basis",
     "gker",
-    "kernel_from_track",
     "enumerate_c",
     "contains",
     "lattice_equal",
@@ -278,7 +284,9 @@ def _reduce(v: LatVec, cols: Sequence[LatVec], track: bool):
     if _is_canonical(v, table):
         return v, (tuple(IntPoly() for _ in cols) if track else None)
     rows = [list(e.coeffs) for e in v.entries]
-    qs = [IntPoly() for _ in cols] if track else None
+    # coefficient lists of the quotients: d only falls, so each column's
+    # first term has its largest shift and no shift repeats
+    qs = [[] for _ in cols] if track else None
 
     for row in range(n - 1, -1, -1):
         plist = table.get(row)
@@ -309,10 +317,12 @@ def _reduce(v: LatVec, cols: Sequence[LatVec], track: bool):
                                 if c:
                                     target[k + shift] -= q * c
                         if track:
-                            qs[idx] = qs[idx] + IntPoly.term(q, shift)
+                            if not qs[idx]:
+                                qs[idx] = [0] * (shift + 1)
+                            qs[idx][shift] = q
             d -= 1
     r = LatVec(IntPoly(cs) for cs in rows)
-    return r, (tuple(qs) if track else None)
+    return r, (tuple(IntPoly(c) for c in qs) if track else None)
 
 
 def grem(v: LatVec, basis: "GhnfBasis | Sequence[LatVec]") -> LatVec:
@@ -497,38 +507,61 @@ def _minimal_chain(keys: list[tuple[int, int, int]]) -> list[int] | None:
     return kept
 
 
-def _certified(basis: list[_Tracked], inputs: list[_Tracked]) -> bool:
-    """Whether basis generates the inputs' lattice and passes Buchberger's test."""
-    vecs = [it.vec for it in basis]
-    if any(_reduce(it.vec, vecs, track=False)[0] for it in inputs):
-        return False
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            if basis[a].key[0] == basis[b].key[0]:
-                if _reduce(s_vector(vecs[a], vecs[b]), vecs, track=False)[0]:
-                    return False
-    return True
+def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec], track: bool):
+    """Buchberger's test: every input and every same-row S-vector
+    reduces to zero over the basis.  None when one does not.
+
+    Otherwise (quotients, syzygies), both empty unless ``track`` is
+    set: each input's quotients over the basis, and for each same-row
+    pair i < j the Schreyer syzygy mf*e_i - mg*e_j - qs, where
+    S(b_i, b_j) = mf*b_i - mg*b_j reduces with quotients qs.  These
+    syzygies generate every Z[x]-relation among the basis columns.
+    """
+    quotients, syzygies = [], []
+    for v in inputs:
+        r, qs = _reduce(v, basis, track)
+        if r:
+            return None
+        if track:
+            quotients.append(qs)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if basis[i].leading_term().row == basis[j].leading_term().row:
+                r, qs = _reduce(s_vector(basis[i], basis[j]), basis, track)
+                if r:
+                    return None
+                if track:
+                    mf, mg = _s_multipliers(basis[i], basis[j])
+                    syz = [-q for q in qs]
+                    syz[i] = syz[i] + mf
+                    syz[j] = syz[j] - mg
+                    syzygies.append(tuple(syz))
+    return quotients, syzygies
 
 
-def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> list[_Tracked]:
-    """The reduced Groebner basis of the inputs' Z[x]-lattice, by linear algebra.
+def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
+    """The reduced Groebner basis of the nonzero inputs' Z[x]-lattice,
+    by linear algebra, with the quotients of its certificate.
 
     Round b holds the integer HNF of the shifts of the inputs up to the
     degree cap top + b, where top is the largest input degree.  The first
     round computes it afresh; each later one extends the last HNF by one
     degree (``_precondition``).  A round keeps the columns whose leading
     terms are minimal, tail-canonicalizes them with ``_reduce`` and
-    certifies the result: every input and every same-row S-vector must
-    reduce to zero.  A round whose leading coefficients do not form a
-    divisibility chain, or whose certificate fails, moves to the next
-    cap.  Expressions are built only for the kept columns.  HNF cells and
-    reductions spend from ``max_steps``; running out raises RuntimeError.
+    certifies the result with ``_certified``.  A round whose leading
+    coefficients do not form a divisibility chain, or whose certificate
+    fails, moves to the next cap.  Expressions are built only for the
+    kept columns.  HNF cells and reductions spend from ``max_steps``;
+    running out raises RuntimeError.
+
+    Returns (basis, quotients, syzygies): the basis as tracked items and
+    the certificate's quotients, which in track mode are each input over
+    the basis and the basis's Schreyer syzygies.
     """
-    items = [it for it in inputs if it.vec]
-    if not items:
-        return []
-    n = items[0].vec.n
-    top = max(it.vec.max_degree() for it in items)
+    if not inputs:
+        return [], [], []
+    n = inputs[0].vec.n
+    top = max(it.vec.max_degree() for it in inputs)
     budget = max_steps
     h: list[list[int]] = []
     u: list[list[int]] = []
@@ -538,7 +571,7 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> l
         cap += 1
         width = cap + 1
         known, prev = len(origin), len(h)
-        h, u = _precondition(items, cap, h, u, origin, track)
+        h, u = _precondition(inputs, cap, h, u, origin, track)
         shape = (n * width, prev + len(origin) - known)
         budget -= shape[0] * shape[1]
         pivots = [pid_linalg._pivot_row(col) for col in h]
@@ -547,7 +580,7 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> l
             basis = []
             for k in kept:
                 vec = LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
-                basis.append(_Tracked(vec, _expression(u[k], origin, items) if track else None))
+                basis.append(_Tracked(vec, _expression(u[k], origin, inputs) if track else None))
             # canonical form only depends on the others' leading terms,
             # so one pass leaves every tail reduced
             for idx in range(len(basis)):
@@ -556,8 +589,9 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> l
                 if red.key != basis[idx].key:
                     raise AssertionError("tail reduction moved a leading term")
                 basis[idx] = red
-            if _certified(basis, items):
-                return basis
+            cert = _certified([it.vec for it in basis], [it.vec for it in inputs], track)
+            if cert is not None:
+                return (basis, *cert)
         if budget < 0:
             raise RuntimeError(
                 "completion did not stabilize: degree cap %d, last HNF %dx%d"
@@ -565,39 +599,67 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000) -> l
             )
 
 
-def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
-    """Canonical generalized Hermite normal form of the generated lattice."""
-    gens = list(gens)
+def _inputs(gens: list[LatVec], n: int | None, track: bool) -> tuple[int, list[_Tracked]]:
+    """(n, items) for a completion of gens: n defaults to the first
+    generator's dimension, every generator must have it, and each
+    nonzero one becomes an item, with its unit expression over gens
+    when ``track`` is set."""
     if n is None:
         n = gens[0].n if gens else 0
-    for g in gens:
-        if g.n != n:
-            raise DimensionError("mixed dimensions in generators")
-    items = [_Tracked(g, None) for g in gens if g]
-    basis = _complete(items, track=False)
-    return GhnfBasis(n, [it.vec for it in basis])
+    if any(g.n != n for g in gens):
+        raise DimensionError("mixed dimensions in generators")
+    s = len(gens)
+    return n, [
+        _Tracked(g, LatVec.unit(s, l).entries if track else None) for l, g in enumerate(gens) if g
+    ]
+
+
+def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
+    """Canonical generalized Hermite normal form of the generated lattice."""
+    n, items = _inputs(list(gens), n, False)
+    return GhnfBasis(n, [it.vec for it in _complete(items, False)[0]])
 
 
 def ghnf_track(
     gens: Sequence[LatVec], n: int | None = None
 ) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...]]:
     """ghnf plus, per output column, its Z[x]-expression over the inputs."""
+    n, items = _inputs(list(gens), n, True)
+    basis = _complete(items, True)[0]
+    return GhnfBasis(n, [it.vec for it in basis]), tuple(it.expr for it in basis)
+
+
+def ghnf_kernel(
+    gens: Sequence[LatVec], n: int | None = None
+) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...], list[LatVec]]:
+    """ghnf_track plus generators of the Z[x]-relations among gens, in
+    Z[x]^len(gens), from the same tracked completion.
+
+    The certificate's quotients are the relations (``_certified``); they
+    are lifted through the basis columns' expressions over gens.  The
+    generators come in this order: e_l for each zero input l, the lifted
+    Schreyer syzygies of the basis by pair i < j, then for each nonzero
+    input l, e_l minus its lifted quotients.  Zero relations are
+    dropped; duplicates are not.
+    """
     gens = list(gens)
-    if n is None:
-        n = gens[0].n if gens else 0
+    n, items = _inputs(gens, n, True)
+    basis, quotients, syzygies = _complete(items, True)
+    exprs = tuple(it.expr for it in basis)
+    expr_vecs = [LatVec(expr) for expr in exprs]
     s = len(gens)
-    items = []
-    for l, g in enumerate(gens):
-        if g.n != n:
-            raise DimensionError("mixed dimensions in generators")
-        if g:
-            expr = tuple(IntPoly.const(1) if i == l else IntPoly() for i in range(s))
-            items.append(_Tracked(g, expr))
-    basis = _complete(items, track=True)
-    return (
-        GhnfBasis(n, [it.vec for it in basis]),
-        tuple(it.expr for it in basis),
-    )
+
+    def lift(coords) -> LatVec:
+        out = LatVec.zero(s)
+        for q, expr in zip(coords, expr_vecs):
+            if q:
+                out = out + expr * q
+        return out
+
+    relations = [LatVec.unit(s, l) for l, g in enumerate(gens) if not g]
+    relations += [lift(syz) for syz in syzygies]
+    relations += [LatVec(it.expr) - lift(qs) for it, qs in zip(items, quotients)]
+    return GhnfBasis(n, [it.vec for it in basis]), exprs, [v for v in relations if v]
 
 
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:
@@ -654,95 +716,23 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 
 
 def syzygy_basis(basis: GhnfBasis) -> list[LatVec]:
-    """Schreyer generators of ker(F) for the GHNF columns F, in Z[x]^s."""
-    cols = basis.columns
-    s = len(cols)
-    out = []
-    for i in range(s):
-        for j in range(i + 1, s):
-            if cols[i].leading_term().row != cols[j].leading_term().row:
-                continue
-            mf, mg = _s_multipliers(cols[i], cols[j])
-            svec = s_vector(cols[i], cols[j])
-            r, qs = grem_track(svec, basis)
-            if r:
-                raise AssertionError("S-vector of a GHNF must reduce to zero")
-            coords = list(qs)
-            coords[i] = coords[i] - mf
-            coords[j] = coords[j] + mg
-            syz = LatVec([-c for c in coords])
-            if syz:
-                out.append(syz)
-    return out
-
-
-def kernel_from_track(
-    gens: Sequence[LatVec],
-    basis: GhnfBasis,
-    exprs: Sequence[tuple[IntPoly, ...]],
-) -> list[LatVec]:
-    """Generators of the Z[x]-relations among nonzero gens, in Z[x]^len(gens).
-
-    ``basis, exprs`` is ``ghnf_track(gens)``.  The Schreyer syzygies of
-    the GHNF are lifted through the expressions and joined with the
-    relation expressing each generator over the GHNF.  Zero relations
-    are dropped; duplicates are not.
-    """
-    s = len(gens)
-    out: list[LatVec] = []
-    for syz in syzygy_basis(basis):
-        lifted = [IntPoly()] * s
-        for k, q in enumerate(syz.entries):
-            if q:
-                for l in range(s):
-                    lifted[l] = lifted[l] + q * exprs[k][l]
-        v = LatVec(lifted)
-        if v:
-            out.append(v)
-    for pos in range(s):
-        r, qs = grem_track(gens[pos], basis)
-        if r:
-            raise AssertionError("generator does not reduce to zero in its own lattice")
-        rel = [IntPoly()] * s
-        rel[pos] = IntPoly.const(1)
-        for k, q in enumerate(qs):
-            if q:
-                for l in range(s):
-                    rel[l] = rel[l] - q * exprs[k][l]
-        v = LatVec(rel)
-        if v:
-            out.append(v)
-    return out
+    """Schreyer generators of ker(F) for the GHNF columns F, in Z[x]^s:
+    the syzygies of the certificate of the basis's own columns."""
+    cert = _certified(basis.columns, (), True)
+    if cert is None:
+        raise AssertionError("S-vector of a GHNF must reduce to zero")
+    return [v for v in map(LatVec, cert[1]) if v]
 
 
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:
     """Generators of {X in Z[x]^s | M X = 0} for the matrix with these columns.
 
-    Zero columns give unit vectors; the rest comes from one tracked
-    completion of the nonzero columns through ``kernel_from_track``.
+    They are the relations of ``ghnf_kernel``: unit vectors for zero
+    columns, then the relations read off the certificate of one tracked
+    completion of the nonzero columns.  Exact duplicates are dropped,
+    the order is kept.
     """
-    columns = list(columns)
-    s = len(columns)
-    nonzero = [l for l, c in enumerate(columns) if c]
-    out: list[LatVec] = [LatVec.unit(s, l) for l, c in enumerate(columns) if not c]
-    if not nonzero:
-        return out
-    sub = [columns[l] for l in nonzero]
-    basis, exprs = ghnf_track(sub)
-    for rel in kernel_from_track(sub, basis, exprs):
-        full = [IntPoly()] * s
-        for pos, l in enumerate(nonzero):
-            full[l] = rel.entries[pos]
-        out.append(LatVec(full))
-    # drop exact duplicates, keep deterministic order
-    seen = set()
-    uniq = []
-    for v in out:
-        key = v.entries
-        if key not in seen:
-            seen.add(key)
-            uniq.append(v)
-    return uniq
+    return list(dict.fromkeys(ghnf_kernel(columns)[2]))
 
 
 # ---------------------------------------------------------------------------

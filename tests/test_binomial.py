@@ -171,6 +171,13 @@ def test_member_sat():
     assert member_sat(B("y1*y3 - y2", 3), flat, ID)  # both sides vanish
     assert member_sat(B("y1*y2", 3), flat, ID)
     assert not member_sat(B("y3 - 1", 3), flat, ID)
+    # one side vanishes: a monomial survives, or a nonzero constant does
+    assert not member_sat(B("y1 - y3", 3), flat, ID)
+    assert not member_sat(B("y3 - y2", 3), flat, ID)
+    assert not member_sat(B("y1 - 1", 3), flat, ID)
+    # a monomial on live variables
+    assert not member_sat(B("y3", 3), flat, ID)
+    assert not any(member_sat(B("y1*y3", 3), c, ID) for c in sat_comps)
 
 
 def _sequence_value(seq, exponent: IntPoly):

@@ -84,6 +84,16 @@ def test_kernel():
     assert gens and all(g.n == 2 for g in gens)
 
 
+def test_kernel_nvars(capsys):
+    # one column of Z^2: a different --nvars is a usage error
+    code, out = call(["kernel", "--nvars", "1"], "1, 2\n")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out = call(["kernel", "--nvars", "2"], "1, 0\n1, 0\n")
+    assert (code, out) == call(["kernel"], "1, 0\n1, 0\n") and code == 0
+
+
 def test_charset_and_unit_exit():
     code, out = call(["charset"], "y1^(2) - 1\ny1^(4) - 1\n")
     assert code == 0 and out.strip() == "y1^(2) - 1"

@@ -181,33 +181,64 @@ def test_gker_examples():
     assert any([str(e) for e in x.entries] == ["1", "0"] for x in ker3)
 
 
-def test_gker_bounded_completeness():
-    rng = random.Random(23)
+def _truncated_kernel(cols, dx):
+    """The nonzero vectors of a Z-basis of {X | deg X <= dx, sum X_j cols_j = 0},
+    by ker_int on the flattened shifts, independent of the completion."""
     from sigma_binomial.pid_linalg import ker_int
 
+    s = len(cols)
+    top = dx + max((c.max_degree() for c in cols if c), default=0) + 1
+    flat_cols = []
+    for j in range(s):
+        for k in range(dx + 1):
+            v = cols[j].shift(k)
+            col = []
+            for e in v.entries:
+                col.extend(e.coeff(t) for t in range(top + 1))
+            flat_cols.append(col)
+    out = []
+    for ivec in ker_int(flat_cols):
+        x = LatVec(IntPoly(ivec[j * (dx + 1) : (j + 1) * (dx + 1)]) for j in range(s))
+        if x:
+            out.append(x)
+    return out
+
+
+def _image(x, cols, n):
+    return sum((q * c for q, c in zip(x.entries, cols)), LatVec.zero(n))
+
+
+def test_gker_bounded_completeness():
+    rng = random.Random(23)
     for _ in range(25):
         n, s = rng.randint(1, 2), rng.randint(1, 3)
         cols = [rand_vec(rng, n, 2, 3) for _ in range(s)]
         gens = gker(cols)
         span = ghnf(gens, s) if gens else None
         # brute force: integer kernel of the map (coeffs of X) -> M X
-        dx = 2
-        top = dx + max((c.max_degree() for c in cols if c), default=0) + 1
-        flat_cols = []
-        for j in range(s):
-            for k in range(dx + 1):
-                v = cols[j].shift(k)
-                col = []
-                for e in v.entries:
-                    col.extend(e.coeff(t) for t in range(top + 1))
-                flat_cols.append(col)
-        for ivec in ker_int(flat_cols):
-            x = LatVec(
-                IntPoly(ivec[j * (dx + 1) : (j + 1) * (dx + 1)]) for j in range(s)
-            )
-            if not x:
-                continue
+        for x in _truncated_kernel(cols, 2):
             assert span is not None and contains(span, x)
+
+
+def test_gker_reduces_each_s_vector_once(monkeypatch):
+    # the certificate's S-vector quotients are the syzygies: no second pass
+    import sigma_binomial.zx_lattice as zx
+
+    cols = [V("2", "0"), V("x", "0")]
+    basis = ghnf(cols, 2)
+    pairs = [(f, g) for i, f in enumerate(basis.columns) for g in basis.columns[i + 1 :]
+             if f.leading_term().row == g.leading_term().row]
+    assert pairs
+    calls = []
+    original = zx.s_vector
+
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(zx, "s_vector", counted)
+    assert gker(cols)
+    assert [calls.count(p) for p in pairs] == [1] * len(pairs)
 
 
 def test_member_oracle():
@@ -284,6 +315,18 @@ def test_ghnf_track_columns_are_their_expressions(lattice):
         for q, g in zip(expr, gens):
             acc = acc + q * g
         assert acc == col
+
+
+@PROPERTY
+@given(lattices())
+def test_gker_generates_the_truncated_kernel(lattice):
+    n, cols = lattice
+    gens = gker(cols)
+    assert all(not _image(x, cols, n) for x in gens)
+    span = ghnf(gens, len(cols))
+    assert all(contains(span, x) for x in _truncated_kernel(cols, 2))
+    basis = ghnf(cols, n)
+    assert all(not _image(x, basis.columns, n) for x in syzygy_basis(basis))
 
 
 def _square_tail(maxcoeff: int, trial: int, n: int = 4, maxdeg: int = 3) -> list[LatVec]:
