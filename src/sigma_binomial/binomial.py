@@ -24,6 +24,7 @@ from .laurent import (
     is_unit,
     make_character,
     member,
+    normalize_binomial,
 )
 
 __all__ = [
@@ -261,14 +262,8 @@ def member_sat(b: PlainBinomial, comp: Component, sigma: SigmaConfig) -> bool:
         return False
     if not survivors:
         return True
-    support = b.fplus - b.fminus
-    if not support:
+    if not b.fplus - b.fminus:
         return b.constant.is_one()
-    rho = component_character(comp, sigma)
-    if support.is_normal():
-        query = LaurentBinomial(support, b.constant)
-    else:
-        query = LaurentBinomial(
-            -support, FieldConst.one() / b.constant
-        )
-    return member(query, rho)
+    query = normalize_binomial(
+        FieldConst.one(), b.fplus, b.constant * FieldConst.root_of_unity(2), b.fminus)
+    return member(query, component_character(comp, sigma))

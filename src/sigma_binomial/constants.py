@@ -11,7 +11,9 @@ through turn = 1/2.
 from __future__ import annotations
 
 import enum
+import math
 import re
+import sys
 from fractions import Fraction
 
 from .polyzx import DegenerateInput, IntPoly, prime_factors
@@ -187,11 +189,36 @@ def const_from_str(text: str) -> FieldConst:
     return out
 
 
+# Python's default limit on the decimal digits of an int it prints.
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+
+
+def _over_digit_limit(powers) -> bool:
+    """Whether the product of p^e over (p, e), all e > 0, has more than
+    _MAX_DIGITS decimal digits.  The float sum of e*log10(p) decides
+    unless it is within one digit of the limit; only then is the product,
+    of at most about _MAX_DIGITS + 1 digits, built and compared exactly.
+    """
+    # 2^(4*limit) > 10^limit, so such an exponent decides alone.
+    if any(e > 4 * _MAX_DIGITS for _, e in powers):
+        return True
+    digits = sum(e * math.log10(p) for p, e in powers)
+    if abs(digits - _MAX_DIGITS) > 1:
+        return digits > _MAX_DIGITS
+    return math.prod(p**e for p, e in powers) >= 10**_MAX_DIGITS
+
+
 def const_to_str(c: FieldConst) -> str:
+    """Canonical text.  Integer-exponent primes are multiplied out into one
+    rational, unless its numerator or denominator would be too long to
+    print; then, like the others, each prime prints as p^(e)."""
+    whole = [(p, e.numerator) for p, e in c.factors if e.denominator == 1]
+    multiply = not (_over_digit_limit([(p, e) for p, e in whole if e > 0])
+                    or _over_digit_limit([(p, -e) for p, e in whole if e < 0]))
     rational = Fraction(1)
     parts = []
     for p, e in c.factors:
-        if e.denominator == 1:
+        if multiply and e.denominator == 1:
             rational *= Fraction(p) ** e.numerator
         else:
             parts.append("%d^(%s)" % (p, e))

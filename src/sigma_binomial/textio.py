@@ -120,8 +120,8 @@ def _exps_to_vec(exps: dict[int, IntPoly], n: int) -> LatVec:
     return LatVec(exps.get(i, IntPoly()) for i in range(n))
 
 
-def binomial_terms(text: str) -> list[tuple[int, FieldConst, dict[int, IntPoly]]]:
-    """Split a binomial line into (sign, coefficient, exponents) terms."""
+def binomial_terms(text: str) -> list[tuple[FieldConst, dict[int, IntPoly]]]:
+    """Split a binomial line into (signed coefficient, exponents) terms."""
     s = re.sub(r"\s+", "", text)
     parts = _split_top(s, "+-")
     terms = []
@@ -139,7 +139,7 @@ def binomial_terms(text: str) -> list[tuple[int, FieldConst, dict[int, IntPoly]]
                 continue
             raise ValueError("dangling sign in %r" % text)
         coeff, exps = _term_to_parts(piece)
-        terms.append((pending, coeff, exps))
+        terms.append((coeff if pending > 0 else coeff * FieldConst.root_of_unity(2), exps))
         pending = 1
         have_sep = False
     if have_sep:
@@ -156,9 +156,7 @@ def parse_laurent_binomial(text: str, n: int) -> LaurentBinomial:
     terms = binomial_terms(text)
     if len(terms) != 2:
         raise ValueError("expected exactly two terms in %r" % text)
-    (s1, c1, e1), (s2, c2, e2) = terms
-    a = c1 if s1 > 0 else c1 * FieldConst.root_of_unity(2)
-    b = c2 if s2 > 0 else c2 * FieldConst.root_of_unity(2)
+    (a, e1), (b, e2) = terms
     return normalize_binomial(a, _exps_to_vec(e1, n), b, _exps_to_vec(e2, n))
 
 
@@ -205,25 +203,23 @@ def laurent_system_to_str(binomials) -> str:
 
 
 def parse_plain_binomial(text: str, n: int):
-    from .binomial import PlainBinomial
+    from .binomial import PlainBinomial, to_plain
 
     terms = binomial_terms(text)
-    for _, _, exps in terms:
+    for _, exps in terms:
         for e in exps.values():
             if any(c < 0 for c in e.coeffs):
                 raise ValueError("plain binomial exponents must be in N[x]: %r" % text)
     if len(terms) == 1:
-        sign, coeff, exps = terms[0]
+        _, exps = terms[0]
         if not exps:
             raise ValueError("a constant alone is not a monomial: %r" % text)
-        v = _exps_to_vec(exps, n)
-        return PlainBinomial(v, LatVec.zero(n), None)
+        return PlainBinomial(_exps_to_vec(exps, n), LatVec.zero(n), None)
     if len(terms) != 2:
         raise ValueError("expected one or two terms in %r" % text)
-    (s1, c1, e1), (s2, c2, e2) = terms
+    (a, e1), (b, e2) = terms
     v1, v2 = _exps_to_vec(e1, n), _exps_to_vec(e2, n)
-    diff = v1 - v2
-    if not diff:
+    if not v1 - v2:
         raise ValueError("the two terms share one monomial: %r" % text)
     for row in range(n):
         for k in range(max(len(v1.entries[row].coeffs), len(v2.entries[row].coeffs))):
@@ -232,12 +228,9 @@ def parse_plain_binomial(text: str, n: int):
                     "terms share the factor y%d^(x^%d); factor it out first: %r"
                     % (row + 1, k, text)
                 )
-    sign_const = FieldConst.root_of_unity(2)
-    a = c1 if s1 > 0 else c1 * sign_const
-    b = c2 if s2 > 0 else c2 * sign_const
-    if diff.is_normal():
-        return PlainBinomial(v1, v2, (b / a) * sign_const)
-    return PlainBinomial(v2, v1, (a / b) * sign_const)
+    # With no monomial shared, v1 and v2 are the positive and negative
+    # parts of the support, in one order or the other.
+    return to_plain(normalize_binomial(a, v1, b, v2))
 
 
 def plain_binomial_to_str(b) -> str:

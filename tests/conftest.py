@@ -31,8 +31,12 @@ def saturation_systems(seed: int = 11, trials: int = 200):
         yield n, gens, sigma
 
 
-def laurent_systems(seed: int = 13, trials: int = 200):
-    """The criterion-9 Laurent family: (n, binomials, sigma) per trial."""
+def laurent_systems(seed: int = 13, trials: int = 200, nvars=(1, 3), sizes=(1, 3), maxdeg=2):
+    """The criterion-9 Laurent family: (n, binomials, sigma) per trial.
+
+    n and the number of binomials are drawn from the ranges nvars and
+    sizes; exponents have degree at most maxdeg and coefficients in [-3, 3].
+    """
     rng = random.Random(seed)
     pool = [
         FieldConst.one(),
@@ -45,12 +49,12 @@ def laurent_systems(seed: int = 13, trials: int = 200):
         const_from_str("3"),
     ]
     for _ in range(trials):
-        n = rng.randint(1, 3)
+        n = rng.randint(*nvars)
         system = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(*sizes)):
             while True:
                 v = LatVec(
-                    IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                    IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, maxdeg + 1))])
                     for _ in range(n)
                 )
                 if v:

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str
 from sigma_binomial.polyzx import IntPoly
@@ -237,3 +240,34 @@ def test_zero_dimensional_point_check_718():
     # any such point must satisfy the input system
     for b in system:
         assert _eval_plain(b, point)
+
+
+# the constants of the criterion-9 Laurent family
+CONSTANTS = ["1", "-1", "2", "4", "zeta(3)", "zeta(4)", "-2", "3"]
+
+
+@st.composite
+def plain_systems(draw):
+    """(n, items, sigma): n = 2-4, up to 3 items, one in five a monomial."""
+    n = draw(st.integers(2, 4))
+    polys = st.lists(st.integers(-2, 2), max_size=3).map(IntPoly)
+    vecs = st.lists(polys, min_size=n, max_size=n).map(LatVec).filter(bool)
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(vecs)
+        if draw(st.integers(0, 4)) == 0:
+            items.append(PlainBinomial(LatVec(IntPoly(abs(c) for c in e.coeffs) for e in v.entries),
+                                       LatVec.zero(n), None))
+        else:
+            c = const_from_str(draw(st.sampled_from(CONSTANTS)))
+            items.append(to_plain(LaurentBinomial(v if v.is_normal() else -v, c)))
+    return n, items, draw(st.sampled_from([ID, CONJ]))
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(plain_systems())
+def test_dec_binomial_components_contain_the_input(system):
+    n, items, sigma = system
+    for comp in dec_binomial(items, sigma, n):
+        for b in items:
+            assert member_sat(b, comp, sigma), (str(b), comp)

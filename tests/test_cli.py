@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 import time
 
 import pytest
 
+import sigma_binomial
 from sigma_binomial.cli import run
 from sigma_binomial.constants import SigmaConfig
 from sigma_binomial.textio import (
@@ -292,3 +296,89 @@ def test_unfactorable_constant_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert str(big) in err
+
+
+# Three valid lines whose characteristic set's constants carry exponents
+# far too large to multiply out (3^e would pass 4,300 digits)
+HUGE_EXPONENTS = (
+    "y1^(2*x^2-x-2)*y2^(3*x^2+2*x+3)*y3^(x) - zeta(3)\n"
+    "y1^(x^2+x-1)*y2^(-3*x^3+2*x^2-x-2)*y3^(2*x+1) - 3\n"
+    "y1^(-2)*y2^(-x-1)*y3^(2*x^3-2*x^2-2*x+3) - 3\n"
+)
+
+
+@pytest.mark.parametrize("args", [["charset", "--sigma", "conj"], ["dec-laurent"],
+                                  ["perfect-closure"]], ids=lambda a: a[0])
+def test_huge_constant_exponents_print(args):
+    start = time.perf_counter()
+    code, out = call(args, HUGE_EXPONENTS)
+    assert time.perf_counter() - start < 10.0
+    # some constant prints a prime with an integer exponent, as p^(e)
+    assert code == 0 and re.search(r"(?<![y\d])\d+\^\(-?\d+\)", out)
+    if args[0] == "charset":
+        assert call(args, out) == (0, out)
+
+
+COMMAND_NAMES = [
+    "ghnf", "kernel", "satx", "satz", "satm", "satp", "is-saturated", "charset", "member",
+    "reflexive-closure", "wellmixed-closure", "perfect-closure", "is-prime", "is-reflexive",
+    "is-wellmixed", "is-perfect", "dec-laurent", "dec-binomial", "dimension",
+]
+
+
+def test_help_lists_every_command():
+    code, out = call(["-h"])
+    assert code == 0
+    listed = out[out.index("commands:"):].splitlines()[1:]
+    assert [line.split()[0] for line in listed] == COMMAND_NAMES
+    assert all(len(line.split()) > 1 for line in listed)
+    for name in COMMAND_NAMES:
+        assert call([name, "-h"]) == (0, out)
+
+
+@pytest.mark.parametrize("args", [
+    [], ["frobnicate"], ["is-saturated"], ["member"], ["ghnf", "--kind", "x"],
+    ["charset", "--query", "y1 - 1"], ["ghnf", "--sigma", "bad"], ["ghnf", "--nvars", "x"],
+    ["ghnf", "--nvars", "-2"], ["ghnf", "a.txt", "b.txt"], ["ghnf", "--bogus"],
+], ids=lambda a: " ".join(a) or "no-command")
+def test_usage_errors_exit_2(args):
+    assert call(args, MAT_71) == (2, "")
+
+
+def test_input_file_after_options_and_options_first(tmp_path):
+    path = tmp_path / "sys.txt"
+    path.write_text(SYS_716, encoding="utf-8")
+    expected = call(["charset", "--sigma", "conj"], SYS_716)
+    assert expected[0] == 0
+    assert call(["charset", "--sigma", "conj", str(path)]) == expected
+    assert call(["charset", str(path), "--sigma", "conj"]) == expected
+    assert call(["--sigma", "conj", "charset", str(path)]) == expected
+    assert call(["--json", "ghnf"], MAT_71) == call(["ghnf", "--json"], MAT_71)
+
+
+def test_broken_pipe_exit_2(capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as broken:
+        saved = sys.stdin, sys.stdout
+        sys.stdin, sys.stdout = io.StringIO(SYS_716), broken
+        try:
+            code = run(["dec-laurent"])
+        finally:
+            sys.stdin, sys.stdout = saved
+    # closing flushed the pending output, to devnull, without raising
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exit_2():
+    src = os.path.dirname(os.path.dirname(sigma_binomial.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sigma_binomial.cli", "dec-laurent"],
+                              input=SYS_716, stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1

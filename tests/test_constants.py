@@ -1,6 +1,7 @@
 """Tests for the constant group, sigma action, roots, and o_m."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,32 @@ def test_text_roundtrip():
         const_from_str("x")
     with pytest.raises(DegenerateInput):
         FieldConst.from_rational(0)
+
+
+def test_text_of_huge_exponents():
+    # 2^(2^45) has about 10^13 digits; it used to be multiplied out
+    start = time.perf_counter()
+    c = FieldConst({2: 2**45})
+    assert const_to_str(c) == "2^(35184372088832)"
+    assert time.perf_counter() - start < 0.1
+    assert const_from_str(const_to_str(c)) == c
+    mixed = FieldConst({2: 2**45, 3: -5, 5: Fraction(1, 2)}, Fraction(1, 3))
+    assert const_to_str(mixed) == "2^(35184372088832)*3^(-5)*5^(1/2)*zeta(3)"
+    assert const_from_str(const_to_str(mixed)) == mixed
+
+
+def test_text_multiplies_out_up_to_the_digit_limit():
+    # 2^14284 has 4,300 digits, Python's default int-to-str limit, and
+    # 2^14285 has 4,301; the limit holds for numerator and denominator apart
+    assert const_to_str(FieldConst({2: 14284})) == str(2**14284)
+    assert const_to_str(FieldConst({2: 14285})) == "2^(14285)"
+    assert const_to_str(FieldConst({2: -14284, 3: 1})) == "3/%d" % 2**14284
+    assert const_to_str(FieldConst({2: -14285, 3: 1})) == "2^(-14285)*3^(1)"
+    # a product of several primes, exactly at the limit: 10^4299, 10^4300
+    assert const_to_str(FieldConst({2: 4299, 5: 4299})) == str(10**4299)
+    c = FieldConst({2: 4300, 5: 4300})
+    assert const_to_str(c) == "2^(4300)*5^(4300)"
+    assert const_from_str(const_to_str(c)) == c
 
 
 def test_from_rational_large_prime_factors():

@@ -340,6 +340,37 @@ def test_make_character_one_tracked_completion(monkeypatch):
     assert len(keys) == 1 and keys[0][0] is True
 
 
+def _check_decomposition(n, system, sigma, rng):
+    """(proper, agreeing values) after checking that the perfect closure is
+    the intersection of its reflexive prime components."""
+    closure = perfect_closure(system, sigma, n)
+    comps = dec_laurent(system, sigma, n)
+    assert is_unit(closure) == (not comps), system
+    assert len(set(comps)) == len(comps), system
+    if not comps:
+        return 0, 0
+    agreeing = 0
+    for b in closure.binomials:
+        assert all(member(b, rho) for rho in comps), (system, str(b))
+    # f from the components' lattices, so that some agree, and at random
+    cols = [g for rho in comps for g in rho.basis.columns]
+    fs = [rand_vec(rng, n, 2, 3) for _ in range(4)]
+    for _ in range(12):
+        f = LatVec.zero(n)
+        for g in rng.sample(cols, min(2, len(cols))):
+            f = f + rng.randint(-2, 2) * g
+        fs.append(f)
+    for f in fs:
+        values = [rho.value(f) for rho in comps]
+        value = closure.value(f)
+        if value is not None:
+            assert values == [value] * len(comps), (system, f)
+        if values[0] is not None and values.count(values[0]) == len(values):
+            agreeing += 1
+            assert value == values[0], (system, f)
+    return 1, agreeing
+
+
 def test_decomposition_oracle():
     """The perfect closure is the intersection of its reflexive prime
     components (the paper's decomposition theorem), checked on the
@@ -348,29 +379,29 @@ def test_decomposition_oracle():
     proper = agreeing = 0
     for n, system, sigma in laurent_systems():
         start = time.perf_counter()
-        closure = perfect_closure(system, sigma, n)
-        comps = dec_laurent(system, sigma, n)
-        assert is_unit(closure) == (not comps), system
-        assert len(set(comps)) == len(comps), system
-        if comps:
-            proper += 1
-            for b in closure.binomials:
-                assert all(member(b, rho) for rho in comps), (system, str(b))
-            # f from the components' lattices, so that some agree, and at random
-            cols = [g for rho in comps for g in rho.basis.columns]
-            fs = [rand_vec(rng, n, 2, 3) for _ in range(4)]
-            for _ in range(12):
-                f = LatVec.zero(n)
-                for g in rng.sample(cols, min(2, len(cols))):
-                    f = f + rng.randint(-2, 2) * g
-                fs.append(f)
-            for f in fs:
-                values = [rho.value(f) for rho in comps]
-                value = closure.value(f)
-                if value is not None:
-                    assert values == [value] * len(comps), (system, f)
-                if values[0] is not None and values.count(values[0]) == len(values):
-                    agreeing += 1
-                    assert value == values[0], (system, f)
+        p, a = _check_decomposition(n, system, sigma, rng)
+        proper, agreeing = proper + p, agreeing + a
         assert time.perf_counter() - start < 2.0, system
     assert proper and agreeing, (proper, agreeing)
+
+
+def test_decomposition_oracle_larger_family():
+    """The same checks on n = 3-5 variables, 2-5 binomials and exponents
+    of degree <= 3.  Here constants carry integer exponents up to about
+    10^25, which print as p^(e); multiplied out, they made printing (and
+    so dec_laurent's sort) never end or pass Python's int-to-str digit
+    limit."""
+    rng = random.Random(5)
+    proper = agreeing = refused = 0
+    for n, system, sigma in laurent_systems(21, 60, nvars=(3, 5), sizes=(2, 5), maxdeg=3):
+        start = time.perf_counter()
+        try:
+            p, a = _check_decomposition(n, system, sigma, rng)
+            proper, agreeing = proper + p, agreeing + a
+        except RuntimeError as exc:
+            # dec_laurent's budget: the branch tree starts at the reflexive
+            # closure, whose witness orders can multiply past the limit
+            assert "root choices" in str(exc), system
+            refused += 1
+        assert time.perf_counter() - start < 2.0, system
+    assert proper and agreeing and refused <= 1, (proper, agreeing, refused)

@@ -329,6 +329,25 @@ def test_gker_generates_the_truncated_kernel(lattice):
     assert all(not _image(x, basis.columns, n) for x in syzygy_basis(basis))
 
 
+@PROPERTY
+@given(lattices(), st.data())
+def test_contains_agrees_with_member_oracle(lattice, data):
+    n, gens = lattice
+    vecs = st.lists(polys, min_size=n, max_size=n).map(LatVec)
+    small = st.lists(st.integers(-3, 3), max_size=3).map(IntPoly)
+    v = sum((data.draw(small) * g for g in gens), LatVec.zero(n))
+    if data.draw(st.booleans()):
+        v = v + data.draw(vecs)
+    basis, exprs = ghnf_track(gens, n)
+    # v is a combination of the GHNF columns of degree at most deg v + the
+    # columns' degree + 1 (the bound of the seeded loop in test_acceptance),
+    # and each column one of the generators of its expression's degree
+    col_deg = max((c.max_degree() for c in basis.columns), default=0)
+    expr_deg = max((int(q.degree) for e in exprs for q in e if q), default=0)
+    bound = max(v.max_degree(), 0) + col_deg + 1 + expr_deg
+    assert contains(basis, v) == member_oracle(gens, v, bound)
+
+
 def _square_tail(maxcoeff: int, trial: int, n: int = 4, maxdeg: int = 3) -> list[LatVec]:
     """n = s generators of the given degree drawn from the tail seed 1, as the benchmark does."""
     rng = random.Random(1)

@@ -16,7 +16,13 @@ it.  OUT receives one line per output:
   its multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
   and ``sat_full``;
 - on the criterion-9 Laurent family, per seed and trial: the reflexive,
-  well-mixed and perfect closures and ``dec_laurent``.
+  well-mixed and perfect closures and ``dec_laurent``;
+- the exit code and stdout of ``cli.run`` on a fixed matrix of cases:
+  every command on the paper inputs of ``bench/gen.py`` and on empty,
+  unit and malformed inputs, each plain, with ``--json``, with
+  ``--sigma conj`` and with ``--nvars`` matching, different and
+  negative, then with the input as a file before and after the options;
+  and a list of usage errors.  ``-h`` is left out.
 
 The seed options take comma-separated lists.  Two trees that compute the
 same outputs give files that ``cmp`` finds identical.  Only the standard
@@ -29,7 +35,9 @@ import argparse
 import importlib
 import json
 import os
+import re
 import sys
+import tempfile
 
 
 def _load(root: str):
@@ -65,6 +73,55 @@ def _guard(fn):
         return fn()
     except Exception as exc:
         return "raised %s: %s" % (type(exc).__name__, exc)
+
+
+# The command names are listed here, not read from the tree, so that
+# trees with different command tables can be compared.
+MATRIX_COMMANDS = ("ghnf", "kernel", "satx", "satz", "satm", "satp", "is-saturated")
+SYSTEM_COMMANDS = (
+    "charset", "member", "reflexive-closure", "wellmixed-closure", "perfect-closure",
+    "is-prime", "is-reflexive", "is-wellmixed", "is-perfect", "dec-laurent",
+    "dec-binomial", "dimension",
+)
+# Each command with the options it requires, once per value tried.
+REQUIRED = {
+    "is-saturated": [["--kind", k] for k in "xzmp"],
+    "member": [["--query", "y1^(2) - 1"], ["--query", "y1^(2)*y2^(-2*x)*y3^(2*x^2) - 1"]],
+}
+EXTRA_INPUTS = ("", "y1 - 1\ny1 - 2\n", "garbage&&\n")
+USAGE_ERRORS = (
+    [], ["frobnicate"], ["is-saturated"], ["member"], ["ghnf", "--kind", "x"],
+    ["charset", "--query", "y1 - 1"], ["ghnf", "--sigma", "bad"], ["ghnf", "--nvars", "x"],
+    ["ghnf", "--nvars", "-2"], ["ghnf", "a.txt", "b.txt"], ["ghnf", "--bogus"],
+)
+
+
+def _cli_cases(gen, tmp):
+    """(tag, argv, stdin) for every CLI case; input files are written under tmp."""
+    inputs = list(dict.fromkeys([text for _, _, text in gen.PAPER_CALLS] + list(EXTRA_INPUTS)))
+    for idx, text in enumerate(inputs):
+        path = os.path.join(tmp, "input%d.txt" % idx)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        lines = [l for l in text.splitlines() if l.strip()]
+        matrix_n = len(lines[0].split(",")) if lines else 0
+        system_n = max((int(m) for m in re.findall(r"y(\d+)", text)), default=0)
+        for cmd in MATRIX_COMMANDS + SYSTEM_COMMANDS:
+            n = matrix_n if cmd in MATRIX_COMMANDS else system_n
+            variants = (
+                ("plain", []), ("json", ["--json"]), ("conj", ["--sigma", "conj"]),
+                ("nvars", ["--nvars", str(n)]), ("nvars+1", ["--nvars", str(n + 1)]),
+                ("nvars-1", ["--nvars", "-1"]),
+            )
+            for r, required in enumerate(REQUIRED.get(cmd, [[]])):
+                tag = "cli/%s/%d/%d" % (cmd, r, idx)
+                for name, opts in variants:
+                    yield "%s/%s" % (tag, name), [cmd] + required + opts, text
+                opts = required + ["--json", "--sigma", "conj"]
+                yield tag + "/file-first", [cmd, path] + opts, ""
+                yield tag + "/file-last", [cmd] + opts + [path], ""
+    for k, argv in enumerate(USAGE_ERRORS):
+        yield "cli/usage/%d" % k, argv, ""
 
 
 def _columns(basis):
@@ -119,6 +176,11 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
                 emit("%s/%s" % (tag, name), _guard(lambda: repr(closure(system, sigma, n))))
             emit(tag + "/dec_laurent",
                  _guard(lambda: [[str(b) for b in c.binomials] for c in sb.dec_laurent(system, sigma, n)]))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for tag, argv, text in _cli_cases(gen, tmp):
+            op = worker.prepare(sb, cli, {"op": "cli", "argv": argv, "stdin": text})
+            emit(tag, _guard(lambda: op.render(op.call())))
     return lines
 
 
