@@ -61,8 +61,7 @@ COMMANDS = {
                 lambda x, n, sigma, args: x),
     "member": (
         "membership of a binomial in a Laurent binomial ideal", CHARACTER,
-        lambda x, n, sigma, args:
-            laurent_mod.member(textio.parse_laurent_binomial(args.query, n), x),
+        lambda x, n, sigma, args: laurent_mod.member(args.query, x),
         "query"),
     "reflexive-closure": ("reflexive closure of a Laurent binomial ideal", LAURENT,
                           lambda x, n, sigma, args: laurent_mod.reflexive_closure(x, sigma, n)),
@@ -113,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(kind: str, path: str, nvars: int | None, sigma: SigmaConfig):
-    """The input of one kind, read from a file or stdin, and its number of variables."""
+def _read(kind: str, path: str, nvars: int | None):
+    """The input of one kind (a characteristic set as its system) and its number of variables."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -128,10 +127,7 @@ def _read(kind: str, path: str, nvars: int | None, sigma: SigmaConfig):
         return cols, n
     if kind == PLAIN:
         return textio.parse_plain_system(text, nvars)
-    system, n = textio.parse_laurent_system(text, nvars)
-    if kind == CHARACTER:
-        return laurent_mod.make_character(system, sigma, n), n
-    return system, n
+    return textio.parse_laurent_system(text, nvars)
 
 
 def _form(result, as_json: bool):
@@ -189,7 +185,11 @@ def run(argv) -> int:
     try:
         if args.nvars is not None and args.nvars < 0:
             raise ValueError("--nvars must be at least 0, got %d" % args.nvars)
-        data, n = _read(kind, args.input, args.nvars, sigma)
+        data, n = _read(kind, args.input, args.nvars)
+        if args.query is not None:  # before make_character, which may answer unit
+            args.query = textio.parse_laurent_binomial(args.query, n)
+        if kind == CHARACTER:
+            data = laurent_mod.make_character(data, sigma, n)
         result = data if is_unit(data) else op(data, n, sigma, args)
         form = _form(result, args.json)
     except (OSError, ValueError, ArithmeticError) as exc:

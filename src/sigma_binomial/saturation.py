@@ -4,13 +4,12 @@ Each kind has a witness function whose list is empty iff the lattice is
 saturated of that kind: ``xfactor`` finds h with x*h in the lattice from
 the integer kernel of the constant terms, ``zfactor`` finds h with p*h
 in the lattice for a prime p by working over Z_p[x], and ``mfactor``
-returns (x - o_m)*g for the Z-saturation columns g with multiplier
-m != 1.  Each saturation is one loop that adjoins the witnesses of the
-first kind that has any until none has (P: x and M; full: x and Z).
-Every witness lies in every saturated lattice containing the current
-one, so the order of adjoining does not change the result.  ``sat_z``
-keeps its own loop, because it also tracks per-column multipliers into
-the input lattice.
+returns (x - 1)*g, or (x + 1)*g under conj, for the Z-saturation
+columns g outside the lattice.  The x-, Z- and full saturations loop,
+adjoining the witnesses of the first kind that has any until none has;
+each witness lies in every saturated lattice containing the current one.
+M-saturation takes one round, and P-saturation one after sat_x.
+``sat_z`` keeps its own loop, as it tracks multipliers into the input.
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
@@ -256,10 +255,14 @@ def _m_shifts(basis: GhnfBasis, sigma: SigmaConfig):
 
 
 def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:
-    """Witnesses against M-saturation: the (x - o_m)*g outside the lattice,
-    for the sat_Z columns g with multiplier m != 1.  Empty iff the
-    lattice is M-saturated."""
-    shifted = (shift * g for g, _, shift in _m_shifts(basis, sigma))
+    """Witnesses against M-saturation: the (x - eps)*g outside L for the
+    columns g of sat_Z(L), eps = 1 under id and -1 under conj; empty iff L
+    is M-saturated.  The paper's (x - o_m)*g need the multipliers m; as
+    o_m = eps mod m, the two differ by a multiple of m*g, in L, and the
+    columns with m = 1 lie in L.  Under conj, (x + 1)*g replaces
+    (x - m + 1)*g; the lattice adjoined is the same."""
+    shift = IntPoly((-1, 1) if sigma is SigmaConfig.IDENTITY else (1, 1))
+    shifted = (shift * g for g in _saturate(basis, None, "z").columns)
     return [h for h in shifted if grem(h, basis)]
 
 
@@ -277,22 +280,27 @@ def _witnesses(basis: GhnfBasis, kinds: str, sigma: SigmaConfig | None) -> list[
     return []
 
 
-def _saturate(gens, n: int | None, kinds: str, sigma: SigmaConfig | None = None):
+def _saturate(gens, n: int | None, kinds: str):
     """The least lattice containing gens with no witnesses of these kinds."""
     basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    while hs := _witnesses(basis, kinds, sigma):
+    while hs := _witnesses(basis, kinds, None):
         basis = ghnf(list(basis.columns) + hs, basis.n)
     return basis
 
 
 def sat_m(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
-    """The M-saturation: adjoin MFactor witnesses until there are none."""
-    return _saturate(gens, n, "m", sigma)
+    """The M-saturation in one round: the witnesses W lie in sat_Z(L), so
+    L + W has the same sat_Z, whose (x - eps)*g all lie in L + W."""
+    basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
+    hs = mfactor(basis, sigma)
+    return ghnf(list(basis.columns) + hs, basis.n) if hs else basis
 
 
 def sat_p(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
-    """The P-saturation: least lattice that is both x- and M-saturated."""
-    return _saturate(gens, n, "xm", sigma)
+    """The P-saturation, sat_m(sat_x(L)): for L x-saturated, L' = sat_m(L)
+    stays so.  If x*h lies in L', h lies in sat_Z(L), x-saturated as L is,
+    and x*h = eps*h mod L', so h lies in L'."""
+    return sat_m(sat_x(gens, n), sigma)
 
 
 def sat_full(gens, n: int | None = None) -> GhnfBasis:
@@ -306,7 +314,7 @@ def is_saturated(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None = None) 
 
     A lattice is saturated of a kind exactly when it has no witnesses of
     that kind; P-saturated means both x- and M-saturated.  Kinds m and p
-    need sigma, because o_m depends on it.
+    need sigma, because eps depends on it.
     """
     kinds = {"x": "x", "z": "z", "m": "m", "p": "xm"}.get(kind)
     if kinds is None:

@@ -273,6 +273,14 @@ def test_variable_past_nvars_exit_2(capsys, args, inp, var, n):
     assert var in err and "n = %d" % n in err
 
 
+@pytest.mark.parametrize("query", ["garbage&&", "y2 - 1"])
+def test_member_query_checked_on_a_unit_ideal(capsys, query):
+    # the query is parsed before the characteristic set, which is unit here
+    assert call(["member", "--query", query], "y1 - 1\ny1 - 2\n") == (2, "")
+    assert capsys.readouterr().err.startswith("error:")
+    assert call(["member", "--query", "y1 - 1"], "y1 - 1\ny1 - 2\n") == (1, "unit\n")
+
+
 @pytest.mark.parametrize("cmd, inp", [
     ("dec-laurent", "\n"),
     ("charset", "\n"),

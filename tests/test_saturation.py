@@ -12,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V, rand_vec, saturation_systems
+from sigma_binomial import saturation
 from sigma_binomial.constants import SigmaConfig
 from sigma_binomial.polyzx import IntPoly, _is_prime, _trial_divide, prime_factors
 from sigma_binomial.zx_lattice import (
     LatVec,
     contains,
     ghnf,
+    grem,
     lattice_equal,
     member_oracle,
     verify_ghnf,
 )
 from sigma_binomial.saturation import (
+    _m_shifts,
     _zfactor_colon,
     _zfactor_prime,
     is_saturated,
@@ -119,6 +122,74 @@ def test_sat_p_sat_full_example_623():
     assert is_saturated(basis, "p", ID)
     assert sat_p(lattice, ID, 2).columns == basis.columns
     assert lattice_equal(sat_full(lattice, 2), [V("x-1", "0"), V("-1", "1")])
+
+
+def _paper_mfactor(basis, sigma):
+    """The paper's MFactor witnesses: (x - o_m)*g outside the lattice for
+    the sat_Z columns g with tracked multiplier m != 1."""
+    return [h for h in (shift * g for g, _, shift in _m_shifts(basis, sigma)) if grem(h, basis)]
+
+
+def _paper_saturate(gens, n, sigma, kinds):
+    """Adjoin the witnesses of the first kind that has any (x, then the
+    paper's M) until none has."""
+    basis = ghnf(gens, n)
+    while True:
+        hs = [w.h for w in xfactor(basis)] if "x" in kinds else []
+        hs = hs or _paper_mfactor(basis, sigma)
+        if not hs:
+            return basis
+        basis = ghnf(list(basis.columns) + hs, n)
+
+
+def test_m_step_against_the_paper_loop(monkeypatch):
+    """On the criterion-9 family under both sigma: one M round leaves no
+    witnesses, sat_m and sat_p equal the loop over the paper's witnesses,
+    and every mfactor call adjoins the lattice the paper's witnesses do."""
+    calls = []
+
+    def recorded(basis, sigma):
+        hs = real(basis, sigma)
+        calls.append((basis, sigma, hs))
+        return hs
+
+    real = saturation.mfactor
+    monkeypatch.setattr(saturation, "mfactor", recorded)
+    adding = 0
+    for n, gens, _ in saturation_systems():
+        for sigma in (ID, CONJ):
+            sm, sp = sat_m(gens, sigma, n), sat_p(gens, sigma, n)
+            assert real(sm, sigma) == [] and real(sp, sigma) == []
+            assert sm.columns == _paper_saturate(gens, n, sigma, "m").columns, gens
+            assert sp.columns == _paper_saturate(gens, n, sigma, "xm").columns, gens
+            adding += sm.columns != ghnf(gens, n).columns
+    for basis, sigma, hs in calls:
+        old = _paper_mfactor(basis, sigma)
+        assert bool(hs) == bool(old)
+        assert ghnf(list(basis.columns) + hs, basis.n).columns == \
+            ghnf(list(basis.columns) + old, basis.n).columns
+    assert 0 < adding < 400 and len(calls) >= 800, (adding, len(calls))
+
+
+def test_m_step_needs_no_tracked_completion(monkeypatch):
+    """sat_m, sat_p and is_saturated(..., "p") answer on Examples 5.22 and
+    6.23 with the tracked Z-saturation out of reach."""
+    ex522 = [V("2", "0"), V("x-1", "0"), V("0", "2"), V("0", "x-1")]
+    ex623 = [V("x-1", "0"), V("-2", "2"), V("0", "x-1")]
+    cases = [(gens, sigma) for gens in (ex522, ex522[::2], ex623) for sigma in (ID, CONJ)]
+    expected = [(_paper_saturate(g, 2, s, "m").columns, _paper_saturate(g, 2, s, "xm").columns)
+                for g, s in cases]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tracked completion in an M step")
+
+    monkeypatch.setattr(saturation, "ghnf_track", unreachable)
+    monkeypatch.setattr(saturation, "_sat_z_canonical", unreachable)
+    for (gens, sigma), (m_cols, p_cols) in zip(cases, expected):
+        assert sat_m(gens, sigma, 2).columns == m_cols
+        assert sat_p(gens, sigma, 2).columns == p_cols
+        assert is_saturated(ghnf(gens, 2), "p", sigma) == (p_cols == ghnf(gens, 2).columns)
+    assert is_saturated(ghnf(ex522, 2), "p", ID) and is_saturated(ghnf(ex623, 2), "p", ID)
 
 
 def test_is_saturated_kinds():

@@ -14,7 +14,10 @@ it.  OUT receives one line per output:
 - on the criterion-9 saturation family, per seed and trial: the
   ``zfactor`` witnesses (h, k, e) of the input's GHNF, ``sat_z`` with
   its multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
-  and ``sat_full``;
+  and ``sat_full``; also, per automorphism, ``is_saturated`` of the
+  input's GHNF for kinds m and p, and the GHNF of the input plus its
+  ``mfactor`` witnesses (the witness vectors are not canonical, the
+  lattice they add is);
 - on the criterion-9 Laurent family, per seed and trial: the reflexive,
   well-mixed and perfect closures and ``dec_laurent``;
 - the exit code and stdout of ``cli.run`` on a fixed matrix of cases:
@@ -163,6 +166,15 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
             for sigma in sigmas:
                 emit("%s/sat_m/%s" % (tag, sigma.name), _guard(lambda: _columns(sb.sat_m(gens, sigma, n))))
                 emit("%s/sat_p/%s" % (tag, sigma.name), _guard(lambda: _columns(sb.sat_p(gens, sigma, n))))
+                for kind in "mp":
+                    emit("%s/is_saturated_%s/%s" % (tag, kind, sigma.name),
+                         _guard(lambda: sb.is_saturated(sb.ghnf(gens, n), kind, sigma)))
+
+                def with_witnesses():
+                    basis = sb.ghnf(gens, n)
+                    return _columns(sb.ghnf(list(basis.columns) + sb.mfactor(basis, sigma), n))
+
+                emit("%s/mfactor/%s" % (tag, sigma.name), _guard(with_witnesses))
             emit(tag + "/sat_full", _guard(lambda: _columns(sb.sat_full(gens, n))))
 
     for seed in laurent_seeds:
