@@ -45,6 +45,13 @@ class FieldConst:
         self.turn: Fraction = Fraction(turn) % 1
 
     @classmethod
+    def _normal(cls, factors: tuple, turn: Fraction) -> "FieldConst":
+        """As given: factors sorted by prime, no zero exponent, turn in [0, 1)."""
+        c = object.__new__(cls)
+        c.factors, c.turn = factors, turn
+        return c
+
+    @classmethod
     def one(cls) -> "FieldConst":
         return cls()
 

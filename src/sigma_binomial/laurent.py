@@ -12,24 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .constants import (
-    FieldConst,
-    SigmaConfig,
-    kth_roots,
-    o_m,
-    pow_zx,
-    principal_root,
-    sigma_inv_pow,
-)
+from .constants import FieldConst, SigmaConfig, kth_roots, principal_root
 from .polyzx import IntPoly
-from .zx_lattice import (
-    GhnfBasis,
-    LatVec,
-    DimensionError,
-    ghnf_kernel,
-    grem_track,
-)
+from .zx_lattice import DimensionError, GhnfBasis, LatVec, _tracked_kernel, grem_track
 from . import saturation
 
 __all__ = [
@@ -171,58 +158,63 @@ class PartialCharacter:
 
 
 def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
-    """prod consts[l]^exponents[l], with Z[x]-exponents acting through sigma."""
-    acc = FieldConst.one()
+    """prod consts[l]^exponents[l], with Z[x]-exponents acting through
+    sigma as in ``pow_zx``, in one pass: the exponents of each prime and
+    the turn add up over all factors, and one FieldConst is built."""
+    conj = sigma is SigmaConfig.CONJUGATION
+    radical, turn = {}, Fraction(0)
     for q, c in zip(exponents, consts):
         if q:
-            acc = acc * pow_zx(c, q, sigma)
-    return acc
+            e1 = q(1)
+            for p, e in c.factors:
+                radical[p] = radical.get(p, 0) + e * e1
+            if c.turn:
+                turn += c.turn * (q(-1) if conj else e1)
+    return FieldConst._normal(tuple(sorted((p, e) for p, e in radical.items() if e)), turn % 1)
 
 
 def _with_constants(part, consts, sigma: SigmaConfig):
     """The character with these constants on the supports of
-    ``part = ghnf_kernel(supports)``, or UNIT."""
-    basis, exprs, relations = part
-    for rel in relations:
-        if not _apply(rel.entries, consts, sigma).is_one():
-            return UNIT
-    out_consts = tuple(_apply(expr, consts, sigma) for expr in exprs)
-    return PartialCharacter(basis.n, sigma, basis, out_consts)
+    ``part = _tracked_kernel(supports)``, or UNIT.
+
+    Properness is read over the basis, without lifting: as ``pow_zx``
+    is Z[x]-linear in the exponent, every relation among the supports
+    sends the constants to 1 exactly when each zero support has constant
+    1, each Schreyer syzygy sends the column constants d_k = rho(expr_k)
+    to 1, and each nonzero support's constant is the d_k to its quotients.
+    """
+    basis, exprs, quotients, syzygies, zeros = part
+    if not all(consts[l].is_one() for l in zeros):
+        return UNIT
+    ds = tuple(_apply(expr, consts, sigma) for expr in exprs)
+    if any(not _apply(syz, ds, sigma).is_one() for syz in syzygies):
+        return UNIT
+    nonzero = (c for l, c in enumerate(consts) if l not in zeros)
+    if any(_apply(qs, ds, sigma) != c for qs, c in zip(quotients, nonzero)):
+        return UNIT
+    return PartialCharacter(basis.n, sigma, basis, ds)
 
 
 def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     """Present [binomials] by a partial character, or UNIT if improper.
 
-    The properness test is the kernel criterion: the ideal is proper
-    exactly when every Z[x]-relation of the supports sends the constants
-    to 1.  The character's basis is the canonical GHNF of the supports
-    with constants pushed through the change of generators.
-
-    One tracked completion of the supports, ``ghnf_kernel``, gives the
-    basis, the expressions and the relations: its certificate reduces
-    every support and every same-row S-vector of the basis once, and
-    those quotients are the relations.  That support part does not
-    depend on the constants, so ``dec_laurent`` builds it once for all
-    systems that differ only in their constants and runs the constant
-    part per system.
+    The ideal is proper exactly when every Z[x]-relation of the supports
+    sends the constants to 1.  The character's basis is the GHNF of the
+    supports, from one tracked completion (``_tracked_kernel``), with
+    constants pushed through the change of generators; properness is
+    tested over the basis (``_with_constants``).  The support part does
+    not depend on the constants, so ``dec_laurent`` builds it once per
+    level and runs only the constant part per system.
     """
     binomials = list(binomials)
     if n is None:
         if not binomials:
             raise ValueError("ambient dimension required for an empty system")
         n = binomials[0].support.n
-    supports = []
-    consts = []
-    for b in binomials:
-        if b.support.n != n:
-            raise DimensionError("mixed dimensions in binomial system")
-        if not b.support:
-            if b.constant.is_one():
-                continue
-            return UNIT
-        supports.append(b.support)
-        consts.append(b.constant)
-    return _with_constants(ghnf_kernel(supports, n), consts, sigma)
+    if any(b.support.n != n for b in binomials):
+        raise DimensionError("mixed dimensions in binomial system")
+    part = _tracked_kernel([b.support for b in binomials], n)
+    return _with_constants(part, [b.constant for b in binomials], sigma)
 
 
 def member(b: LaurentBinomial, rho: PartialCharacter) -> bool:
@@ -271,14 +263,11 @@ def is_perfect(rho: PartialCharacter) -> bool:
 def _reflexive_forced(rho: PartialCharacter):
     """sigma^{-1}-preimages of the XFactor witnesses: binomials in every
     reflexive ideal containing I(rho), with supports outside its lattice."""
-    forced = []
-    for w in saturation.xfactor(rho.basis):
-        c = FieldConst.one()
-        for coeff, d in zip(w.e, rho.constants):
-            if coeff:
-                c = c * d**coeff
-        forced.append(LaurentBinomial(w.h, sigma_inv_pow(c, 1, rho.sigma)))
-    return forced
+    # x acts as sigma, an involution, so the exponents e_l*x apply sigma^(-1)
+    return [
+        LaurentBinomial(w.h, _apply([IntPoly.term(k, 1) for k in w.e], rho.constants, rho.sigma))
+        for w in saturation.xfactor(rho.basis)
+    ]
 
 
 def _wellmixed_forced(rho: PartialCharacter):
@@ -295,7 +284,7 @@ def _wellmixed_forced(rho: PartialCharacter):
         if value is None:
             raise AssertionError("multiplier certificate violated")
         root = principal_root(value, m)
-        b = LaurentBinomial(shift * g, pow_zx(root, shift, rho.sigma))
+        b = LaurentBinomial(shift * g, _apply((shift,), (root,), rho.sigma))
         if not member(b, rho):
             forced.append(b)
     return forced
@@ -354,7 +343,9 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
     character on a level has the same basis, hence the same witnesses,
     and every system of the next level has the same supports.  So
     ``zfactor`` and the tracked completion run once per level, and each
-    root choice only evaluates the constant part of ``make_character``.
+    root choice only runs ``_with_constants``: the constants of the
+    basis columns, then properness over the basis.  Children with equal
+    constants are one character.
 
     A level with more than ``_MAX_ROOT_CHOICES`` root choices raises
     RuntimeError before any root is listed: a witness order k can be a
@@ -375,17 +366,17 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
                 "decomposition budget exhausted: %d root choices on one level, more than %d"
                 % (choices, _MAX_ROOT_CHOICES)
             )
-        part = ghnf_kernel(list(basis.columns) + [w.h for w in wits], start.n)
-        children = []
+        part = _tracked_kernel(list(basis.columns) + [w.h for w in wits], start.n)
+        children = {}
         for rho in level:
             root_lists = [kth_roots(_apply(w.e, rho.constants, sigma), w.k) for w in wits]
             for choice in itertools.product(*root_lists):
                 child = _with_constants(part, rho.constants + choice, sigma)
-                if not is_unit(child) and child not in children:
-                    children.append(child)
+                if not is_unit(child):
+                    children.setdefault(child.constants, child)
         if not children:
             return []
-        level = children
+        level = list(children.values())
     return sorted(level, key=_character_sort_key)
 
 

@@ -15,8 +15,10 @@ is extended by the new shifts of that degree rather than recomputed.
 The certificate is the only Buchberger pass.  Tracked, its quotients
 are the relations: each S-vector's quotients, with the multipliers of
 its pair, give a Schreyer syzygy of the basis, and each input's give
-the input over the basis.  ``ghnf_kernel`` lifts both through the
-basis columns' expressions to the Z[x]-relations among the inputs.
+the input over the basis.  ``_tracked_kernel`` returns them as they
+are, over the basis, which is all the constants of a Laurent system
+need; ``ghnf_kernel`` (so ``gker``) lifts them through the basis
+columns' expressions to the Z[x]-relations among the inputs.
 
 Two reduction conventions coexist on purpose:
 
@@ -624,42 +626,42 @@ def ghnf_track(
     gens: Sequence[LatVec], n: int | None = None
 ) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...]]:
     """ghnf plus, per output column, its Z[x]-expression over the inputs."""
-    n, items = _inputs(list(gens), n, True)
-    basis = _complete(items, True)[0]
-    return GhnfBasis(n, [it.vec for it in basis]), tuple(it.expr for it in basis)
+    return _tracked_kernel(list(gens), n)[:2]
+
+
+def _tracked_kernel(gens: list[LatVec], n: int | None = None):
+    """(basis, exprs, quotients, syzygies, zeros) of one tracked
+    completion of gens: the GHNF, each column's expression over gens,
+    each nonzero input's quotients over the basis, the basis's Schreyer
+    syzygies by pair i < j (``_certified``), and the zero inputs' indices."""
+    n, items = _inputs(gens, n, True)
+    basis, quotients, syzygies = _complete(items, True)
+    zeros = [l for l, g in enumerate(gens) if not g]
+    exprs = tuple(it.expr for it in basis)
+    return GhnfBasis(n, [it.vec for it in basis]), exprs, quotients, syzygies, zeros
 
 
 def ghnf_kernel(
     gens: Sequence[LatVec], n: int | None = None
 ) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...], list[LatVec]]:
     """ghnf_track plus generators of the Z[x]-relations among gens, in
-    Z[x]^len(gens), from the same tracked completion.
-
-    The certificate's quotients are the relations (``_certified``); they
-    are lifted through the basis columns' expressions over gens.  The
-    generators come in this order: e_l for each zero input l, the lifted
-    Schreyer syzygies of the basis by pair i < j, then for each nonzero
-    input l, e_l minus its lifted quotients.  Zero relations are
-    dropped; duplicates are not.
+    Z[x]^len(gens): the relations of ``_tracked_kernel`` lifted through
+    the basis columns' expressions.  In order: e_l for each zero input
+    l, the lifted Schreyer syzygies, then e_l minus the lifted quotients
+    for each nonzero input l.  Zero relations are dropped, duplicates
+    are not.
     """
     gens = list(gens)
-    n, items = _inputs(gens, n, True)
-    basis, quotients, syzygies = _complete(items, True)
-    exprs = tuple(it.expr for it in basis)
-    expr_vecs = [LatVec(expr) for expr in exprs]
+    basis, exprs, quotients, syzygies, zeros = _tracked_kernel(gens, n)
     s = len(gens)
 
     def lift(coords) -> LatVec:
-        out = LatVec.zero(s)
-        for q, expr in zip(coords, expr_vecs):
-            if q:
-                out = out + expr * q
-        return out
+        return sum((LatVec(e) * q for q, e in zip(coords, exprs) if q), LatVec.zero(s))
 
-    relations = [LatVec.unit(s, l) for l, g in enumerate(gens) if not g]
-    relations += [lift(syz) for syz in syzygies]
-    relations += [LatVec(it.expr) - lift(qs) for it, qs in zip(items, quotients)]
-    return GhnfBasis(n, [it.vec for it in basis]), exprs, [v for v in relations if v]
+    nonzero = [l for l, g in enumerate(gens) if g]
+    relations = [LatVec.unit(s, l) for l in zeros] + [lift(syz) for syz in syzygies]
+    relations += [LatVec.unit(s, l) - lift(qs) for l, qs in zip(nonzero, quotients)]
+    return basis, exprs, [v for v in relations if v]
 
 
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:

@@ -2,15 +2,20 @@
 
 import random
 import time
+from datetime import timedelta
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V, laurent_systems, rand_vec
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
-from sigma_binomial.zx_lattice import LatVec, gker, lattice_equal
+from sigma_binomial.zx_lattice import LatVec, ghnf_kernel, gker, lattice_equal
 from sigma_binomial.laurent import (
     LaurentBinomial,
+    _apply,
     NotABinomial,
     NotReflexivePrime,
     dec_laurent,
@@ -405,3 +410,88 @@ def test_decomposition_oracle_larger_family():
             refused += 1
         assert time.perf_counter() - start < 2.0, system
     assert proper and agreeing and refused <= 1, (proper, agreeing, refused)
+
+
+def _reference_product(exponents, consts, sigma):
+    """prod consts[l]^exponents[l], multiplied out left to right by pow_zx."""
+    acc = FieldConst.one()
+    for q, c in zip(exponents, consts):
+        if q:
+            acc = acc * pow_zx(c, q, sigma)
+    return acc
+
+
+_radicals = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7]),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    max_size=3,
+)
+_turns = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6, 12]))
+# the empty radical part and the zero turn are drawn often: turn-only,
+# radical-only and trivial constants
+_consts = st.builds(FieldConst, _radicals, _turns)
+_exponents = st.builds(IntPoly, st.lists(st.integers(-3, 3), max_size=4))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2))
+@given(
+    st.lists(st.tuples(_exponents, _consts), max_size=5),
+    st.sampled_from([ID, CONJ]),
+    st.booleans(),
+)
+def test_apply_is_the_pow_zx_product(pairs, sigma, cancel):
+    """One pass of _apply gives the left-to-right product of pow_zx, in
+    normal form; with every factor's inverse appended it gives 1."""
+    if cancel:
+        pairs = pairs + [(q, FieldConst.one() / c) for q, c in pairs]
+    exponents = [q for q, _ in pairs]
+    consts = [c for _, c in pairs]
+    got = _apply(exponents, consts, sigma)
+    want = _reference_product(exponents, consts, sigma)
+    assert got == want and hash(got) == hash(want)
+    assert got.factors == want.factors and got.turn == want.turn
+    primes = [p for p, _ in got.factors]
+    assert primes == sorted(set(primes)) and all(e for _, e in got.factors)
+    assert 0 <= got.turn < 1
+    if cancel:
+        assert got.is_one()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [{}, dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)],
+    ids=["default", "larger"],
+)
+def test_properness_against_lifted_relations(family):
+    """make_character, which tests properness over the basis, returns UNIT
+    exactly when some Z[x]-relation among the supports, lifted by
+    ghnf_kernel, sends the constants to something other than 1."""
+    outcomes = set()
+    for n, system, sigma in laurent_systems(**family):
+        consts = [b.constant for b in system]
+        relations = ghnf_kernel([b.support for b in system], n)[2]
+        improper = any(
+            not _reference_product(rel.entries, consts, sigma).is_one() for rel in relations
+        )
+        assert is_unit(make_character(system, sigma, n)) == improper, system
+        outcomes.add(improper)
+    assert outcomes == {True, False}
+
+
+def test_zero_supports():
+    """A zero-support binomial 1 - c is dropped when c = 1 and makes the
+    ideal the unit ideal otherwise, wherever it stands in the system."""
+    sys716, n = parse_laurent_system(SYS_716)
+    zero = LatVec.zero(n)
+    for sigma in (ID, CONJ):
+        rho = make_character(sys716, sigma, n)
+        for pos in range(len(sys716) + 1):
+            def with_zero(c):
+                return sys716[:pos] + [LaurentBinomial(zero, c)] + sys716[pos:]
+
+            assert make_character(with_zero(FieldConst.one()), sigma, n) == rho
+            for text in ("2", "-1", "zeta(3)", "2^(1/2)*zeta(4)"):
+                assert is_unit(make_character(with_zero(const_from_str(text)), sigma, n))
+    only = [LaurentBinomial(zero, FieldConst.one())] * 2
+    assert make_character(only, ID, n) == make_character([], ID, n)
+    assert is_unit(make_character(only + [LaurentBinomial(zero, const_from_str("3"))], ID, n))

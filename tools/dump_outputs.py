@@ -19,7 +19,10 @@ it.  OUT receives one line per output:
   ``mfactor`` witnesses (the witness vectors are not canonical, the
   lattice they add is);
 - on the criterion-9 Laurent family, per seed and trial: the reflexive,
-  well-mixed and perfect closures and ``dec_laurent``;
+  well-mixed and perfect closures and ``dec_laurent``; then, for the
+  system's own character, its perfect closure and each of its
+  components, ``value`` and ``prem_binomial`` on fixed query supports
+  (see ``_queries``);
 - the exit code and stdout of ``cli.run`` on a fixed matrix of cases:
   every command on the paper inputs of ``bench/gen.py`` and on empty,
   unit and malformed inputs, each plain, with ``--json``, with
@@ -131,6 +134,32 @@ def _columns(basis):
     return [[str(e) for e in c.entries] for c in basis.columns]
 
 
+def _queries(sb, rho):
+    """Query supports for a character: the unit vectors, one vector that
+    few lattices hold, and four combinations of rho's columns (so inside
+    its lattice), one of them not normal."""
+    n = rho.n
+    out = [sb.LatVec.unit(n, row) for row in range(n)]
+    out.append(sb.LatVec([sb.IntPoly((-2, 0, 1))] + [sb.IntPoly((3, 1))] * (n - 1)))
+    cols = rho.basis.columns
+    if cols:
+        out += [sum(cols, sb.LatVec.zero(n)), sb.IntPoly((1, 1)) * cols[0] - 2 * cols[-1],
+                sb.IntPoly((0, 3)) * cols[0], -cols[-1]]
+    return out
+
+
+def _value_prem(sb, rho):
+    """rho.value and prem_binomial, with constant 2*zeta(6), per query support."""
+    const = sb.const_from_str("2*zeta(6)")
+    rows = []
+    for v in _queries(sb, rho):
+        value = rho.value(v)
+        r = sb.prem_binomial(sb.LaurentBinomial(v, const), rho)
+        rows.append((str(v), value if value is None else str(value),
+                     str(r.support), str(r.constant)))
+    return rows
+
+
 def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
     sb, cli, gen, worker = _load(root)
     lines = 0
@@ -188,6 +217,13 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
                 emit("%s/%s" % (tag, name), _guard(lambda: repr(closure(system, sigma, n))))
             emit(tag + "/dec_laurent",
                  _guard(lambda: [[str(b) for b in c.binomials] for c in sb.dec_laurent(system, sigma, n)]))
+
+            def characters():
+                rhos = [sb.make_character(system, sigma, n), sb.perfect_closure(system, sigma, n)]
+                rhos += sb.dec_laurent(system, sigma, n)
+                return [rho for rho in rhos if not sb.is_unit(rho)]
+
+            emit(tag + "/value_prem", _guard(lambda: [_value_prem(sb, rho) for rho in characters()]))
 
     with tempfile.TemporaryDirectory() as tmp:
         for tag, argv, text in _cli_cases(gen, tmp):
