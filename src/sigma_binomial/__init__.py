@@ -36,7 +36,6 @@ from .zx_lattice import (
     lattice_equal,
     member_oracle,
     s_vector,
-    syzygy_basis,
     verify_ghnf,
 )
 from .pid_linalg import hnf_modpoly, ker_int
@@ -48,7 +47,6 @@ from .constants import (
     kth_roots,
     o_m,
     pow_zx,
-    sigma_inv_pow,
 )
 from .saturation import (
     SatWitnessX,

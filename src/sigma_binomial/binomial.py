@@ -229,16 +229,8 @@ def dec_binomial(items, sigma: SigmaConfig, n: int | None = None) -> list[Compon
                     )
                 )
             )
-    # exact duplicates can arise through different zeroing orders
-    seen = set()
-    unique = []
-    for comp in components:
-        key = (comp.zero_vars, comp.chain, comp.nonzero_vars)
-        if key not in seen:
-            seen.add(key)
-            unique.append(comp)
-    unique.sort(key=_component_sort_key)
-    return unique
+    components.sort(key=_component_sort_key)
+    return components
 
 
 def component_character(comp: Component, sigma: SigmaConfig) -> PartialCharacter:

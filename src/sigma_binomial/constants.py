@@ -113,13 +113,6 @@ class FieldConst:
         return const_to_str(self)
 
 
-def sigma_inv_pow(c: FieldConst, k: int, sigma: SigmaConfig) -> FieldConst:
-    """sigma^(-k) of c; conjugation is an involution, so parity decides."""
-    if sigma is SigmaConfig.IDENTITY or k % 2 == 0:
-        return c
-    return FieldConst(c.factors, -c.turn)
-
-
 def pow_zx(c: FieldConst, e: IntPoly, sigma: SigmaConfig) -> FieldConst:
     """c raised to a Z[x]-exponent: prod over j of sigma^j(c)^e_j.
 

@@ -272,19 +272,28 @@ def _reflexive_forced(rho: PartialCharacter):
 
 def _wellmixed_forced(rho: PartialCharacter):
     """The binomials forced into any well-mixed ideal containing I(rho)
-    that are not members: for each sat_Z generator (g, m), support
-    (x - o_m) g with constant a^(x - o_m) for a the principal m-th root
-    of rho(m g).
+    that are not members: for each column g of sat_Z(L) outside L's GHNF,
+    support (x - eps) g with constant b^(x - eps), for (x - eps, sat_Z(L))
+    from ``saturation.m_shift`` and b the principal q-th root of
+    rho(q g), q = ``saturation.torsion_bound(L)``.
 
-    The root choice is irrelevant because zeta_m^(x - o_m) = 1.
+    The paper's binomial, with support (x - o_m) g and constant
+    a^(x - o_m) for m g in L and a^m = rho(m g), differs from this one by
+    a member: (o_m - eps) g is a multiple of m g, and b/a is a root of
+    unity zeta of order dividing q m, with zeta^(x - eps) = 1 as
+    o_N = eps mod N.  So the root choice is irrelevant too.
     """
+    q = saturation.torsion_bound(rho.basis)
+    shift, cols = saturation.m_shift(rho.basis, rho.sigma)
+    own = set(rho.basis.columns)
     forced = []
-    for g, m, shift in saturation._m_shifts(rho.basis, rho.sigma):
-        value = rho.value(m * g)
+    for g in cols:
+        if g in own:
+            continue
+        value = rho.value(q * g)
         if value is None:
-            raise AssertionError("multiplier certificate violated")
-        root = principal_root(value, m)
-        b = LaurentBinomial(shift * g, _apply((shift,), (root,), rho.sigma))
+            raise AssertionError("torsion bound violated")
+        b = LaurentBinomial(shift * g, _apply((shift,), (principal_root(value, q),), rho.sigma))
         if not member(b, rho):
             forced.append(b)
     return forced
@@ -315,7 +324,8 @@ def reflexive_closure(binomials, sigma: SigmaConfig, n: int | None = None):
 
 
 def wellmixed_closure(binomials, sigma: SigmaConfig, n: int | None = None):
-    """Well-mixed closure: force (x - o_m)-multiples until stable or unit."""
+    """Well-mixed closure: force (x - eps)-multiples of the sat_Z columns
+    until stable or unit."""
     return _close(binomials, sigma, n, _wellmixed_forced)
 
 

@@ -8,8 +8,11 @@ returns (x - 1)*g, or (x + 1)*g under conj, for the Z-saturation
 columns g outside the lattice.  The x-, Z- and full saturations loop,
 adjoining the witnesses of the first kind that has any until none has;
 each witness lies in every saturated lattice containing the current one.
-M-saturation takes one round, and P-saturation one after sat_x.
-``sat_z`` keeps its own loop, as it tracks multipliers into the input.
+M-saturation takes one round, and P-saturation one after sat_x.  The
+M step needs no multipliers: ``m_shift`` gives it x - eps and sat_Z(L)
+from the untracked Z loop, and ``torsion_bound`` one q with q*sat_Z(L)
+in L, which ``laurent``'s well-mixed step shares.  Only ``sat_z``
+tracks multipliers into the input, as they are part of its output.
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
@@ -35,10 +38,10 @@ composite with no prime factor below 1000.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 from . import pid_linalg
-from .constants import SigmaConfig, o_m
+from .constants import SigmaConfig
 from .polyzx import IntPoly, _is_prime, _trial_divide, mod_reduce
 from .zx_lattice import (
     GhnfBasis,
@@ -189,20 +192,35 @@ def _zfactor_colon(basis: GhnfBasis, r: int) -> list[SatWitnessZ]:
     return out
 
 
+def torsion_bound(basis: GhnfBasis) -> int:
+    """q, the product of the blocks' first leading coefficients: q*h lies
+    in L for every h in sat_Z(L).
+
+    By induction on the top row i of h.  Let f_i be the primitive
+    generator of the row-i entries of L's vectors with top row i, over
+    Q[x]; the first column g of block i has the least degree among them,
+    so its row-i entry is a multiple of f_i, and c_i*f_i is the row-i
+    entry of lc(f_i)*g in L, c_i the block's first leading coefficient.
+    Some a*h lies in L, so the row-i entry of h lies in f_i*Q[x], hence in
+    f_i*Z[x] by Gauss's lemma, say u*f_i.  Then c_i*h - u*lc(f_i)*g lies
+    in sat_Z(L) and is zero from row i upward, so the product of the
+    lower blocks' c_j times it lies in L.  A row with no block has no
+    entries of L with top row there, so h has none either.
+    """
+    return prod(b.leading_coeffs[0] for b in basis.blocks)
+
+
 def zfactor(basis: GhnfBasis) -> list[SatWitnessZ]:
     """Witnesses against Z-saturation; empty iff the lattice is Z-saturated.
 
-    Only divisors of q, the product of the blocks' first leading
-    coefficients, matter.  The primes below 1000 dividing q are tried in
+    Only divisors of q = ``torsion_bound(basis)`` matter, as q kills all
+    torsion.  The primes below 1000 dividing q are tried in
     ascending order, then the cofactor r: by itself over Z_r[x] when it
     is a prime, else through L : r without factoring it.  The witnesses
     of the first that yields any are returned; the rest wait for the
     next round.
     """
-    q = 1
-    for b in basis.blocks:
-        q *= b.leading_coeffs[0]
-    small, r = _trial_divide(q)
+    small, r = _trial_divide(torsion_bound(basis))
     for p in small:
         wits = _zfactor_prime(basis, p)
         if wits:
@@ -219,12 +237,15 @@ def _lcm_used(mult, expr: tuple[IntPoly, ...]) -> int:
     return lcm(*(m for m, e in zip(mult, expr) if e))
 
 
-def _sat_z_canonical(basis: GhnfBasis) -> TrackedBasis:
-    """sat_z of a lattice given by its canonical GHNF, as ``ghnf`` returns it.
+def sat_z(gens, n: int | None = None) -> TrackedBasis:
+    """The Z-saturation with per-column multipliers into the input lattice.
 
     Each round adjoins the ZFactor witnesses, whose multiplier is k times
     those of the columns their certificate uses, and completes once.
     """
+    if isinstance(gens, GhnfBasis):
+        gens, n = gens.columns, gens.n
+    basis = ghnf(gens, n)
     mult = (1,) * len(basis.columns)
     while wits := zfactor(basis):
         current = list(basis.columns) + [w.h for w in wits]
@@ -234,36 +255,25 @@ def _sat_z_canonical(basis: GhnfBasis) -> TrackedBasis:
     return TrackedBasis(basis, mult)
 
 
-def sat_z(gens, n: int | None = None) -> TrackedBasis:
-    """The Z-saturation with per-column multipliers into the input lattice."""
-    if isinstance(gens, GhnfBasis):
-        gens, n = gens.columns, gens.n
-    return _sat_z_canonical(ghnf(gens, n))
+def m_shift(basis: GhnfBasis, sigma: SigmaConfig) -> tuple[IntPoly, tuple[LatVec, ...]]:
+    """(x - eps, the columns of sat_Z(L)) for L given by its GHNF, with
+    eps = 1 under id and -1 under conj, from the untracked Z loop.
 
-
-def _m_shifts(basis: GhnfBasis, sigma: SigmaConfig):
-    """(g, m, x - o_m) for each sat_Z column g whose multiplier m is not 1.
-
-    basis is the canonical GHNF of its lattice, so it is not completed again.
+    The paper's M step multiplies each column g with m*g in L by x - o_m.
+    As o_m = eps mod m, (x - o_m)*g and (x - eps)*g differ by a multiple
+    of m*g, which lies in L, so one shift serves every column.
     """
-    tracked = _sat_z_canonical(basis)
-    return [
-        (g, m, IntPoly((-o_m(m, sigma), 1)))
-        for g, m in zip(tracked.basis.columns, tracked.multipliers)
-        if m != 1
-    ]
+    shift = IntPoly((-1, 1) if sigma is SigmaConfig.IDENTITY else (1, 1))
+    return shift, _saturate(basis, None, "z").columns
 
 
 def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:
     """Witnesses against M-saturation: the (x - eps)*g outside L for the
-    columns g of sat_Z(L), eps = 1 under id and -1 under conj; empty iff L
-    is M-saturated.  The paper's (x - o_m)*g need the multipliers m; as
-    o_m = eps mod m, the two differ by a multiple of m*g, in L, and the
-    columns with m = 1 lie in L.  Under conj, (x + 1)*g replaces
-    (x - m + 1)*g; the lattice adjoined is the same."""
-    shift = IntPoly((-1, 1) if sigma is SigmaConfig.IDENTITY else (1, 1))
-    shifted = (shift * g for g in _saturate(basis, None, "z").columns)
-    return [h for h in shifted if grem(h, basis)]
+    columns g of sat_Z(L) (``m_shift``); empty iff L is M-saturated.
+    Under conj, (x + 1)*g replaces the paper's (x - m + 1)*g; the lattice
+    adjoined is the same."""
+    shift, cols = m_shift(basis, sigma)
+    return [h for h in (shift * g for g in cols) if grem(h, basis)]
 
 
 def _witnesses(basis: GhnfBasis, kinds: str, sigma: SigmaConfig | None) -> list[LatVec]:

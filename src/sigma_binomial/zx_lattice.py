@@ -57,7 +57,6 @@ __all__ = [
     "ghnf_track",
     "ghnf_kernel",
     "verify_ghnf",
-    "syzygy_basis",
     "gker",
     "enumerate_c",
     "contains",
@@ -715,15 +714,6 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 
 # ---------------------------------------------------------------------------
 # Syzygies and kernels
-
-
-def syzygy_basis(basis: GhnfBasis) -> list[LatVec]:
-    """Schreyer generators of ker(F) for the GHNF columns F, in Z[x]^s:
-    the syzygies of the certificate of the basis's own columns."""
-    cert = _certified(basis.columns, (), True)
-    if cert is None:
-        raise AssertionError("S-vector of a GHNF must reduce to zero")
-    return [v for v in map(LatVec, cert[1]) if v]
 
 
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:

@@ -268,6 +268,9 @@ def plain_systems(draw):
 @given(plain_systems())
 def test_dec_binomial_components_contain_the_input(system):
     n, items, sigma = system
-    for comp in dec_binomial(items, sigma, n):
+    comps = dec_binomial(items, sigma, n)
+    keys = {(comp.zero_vars, comp.chain, comp.nonzero_vars) for comp in comps}
+    assert len(keys) == len(comps)
+    for comp in comps:
         for b in items:
             assert member_sat(b, comp, sigma), (str(b), comp)

@@ -14,7 +14,6 @@ from sigma_binomial.constants import (
     kth_roots,
     o_m,
     pow_zx,
-    sigma_inv_pow,
 )
 from sigma_binomial.polyzx import DegenerateInput, IntPoly, poly_from_str
 
@@ -52,18 +51,6 @@ def test_pow_zx_homomorphism_randomized():
         for sig in (ID, CONJ):
             assert pow_zx(a, e + f, sig) == pow_zx(a, e, sig) * pow_zx(a, f, sig)
             assert pow_zx(a * b, e, sig) == pow_zx(a, e, sig) * pow_zx(b, e, sig)
-
-
-def test_sigma_inv_pow():
-    assert sigma_inv_pow(C("2"), 5, ID) == C("2")
-    assert sigma_inv_pow(FieldConst.root_of_unity(5), 1, CONJ) == FieldConst.root_of_unity(5, 4)
-    c = C("5*zeta(5)^2")
-    for sig in (ID, CONJ):
-        for k in (1, 2, 3):
-            image = c
-            for _ in range(k):
-                image = sigma_inv_pow(image, 1, sig)
-            assert sigma_inv_pow(image, k, sig) == c
 
 
 def test_kth_roots():

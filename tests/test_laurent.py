@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import V, laurent_systems, rand_vec
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
-from sigma_binomial.zx_lattice import LatVec, ghnf_kernel, gker, lattice_equal
+from sigma_binomial.saturation import is_saturated
+from sigma_binomial.zx_lattice import LatVec, ghnf, ghnf_kernel, gker, lattice_equal
 from sigma_binomial.laurent import (
     LaurentBinomial,
     _apply,
@@ -254,20 +255,49 @@ def test_predicates_agree_with_closures():
 
 
 def test_wellmixed_root_independence(monkeypatch):
+    """The well-mixed and perfect closures do not depend on which q-th
+    root the well-mixed step takes: with each principal root turned by
+    zeta_q, they are unchanged, on y1^(2) - 4, Example 5.22 and the
+    criterion-9 Laurent family under both sigma."""
     import sigma_binomial.laurent as laurent_mod
 
-    sysm, _ = parse_laurent_system("y1^(2) - 4")
-    base = wellmixed_closure(sysm, ID, 1)
+    systems = [parse_laurent_system(text)[::-1] for text in ("y1^(2) - 4", SYS_522)]
+    systems += [(n, system) for n, system, _ in laurent_systems()]
+    cases = [(n, system, sigma) for n, system in systems for sigma in (ID, CONJ)]
 
-    original = laurent_mod.kth_roots
+    def closures():
+        return [(wellmixed_closure(system, sigma, n), perfect_closure(system, sigma, n))
+                for n, system, sigma in cases]
+
+    base = closures()
+    original = laurent_mod.principal_root
+    turned = []
 
     def rotated(c, k):
-        roots = original(c, k)
-        return roots[1:] + roots[:1] if len(roots) > 1 else roots
+        turned.append(k > 1)
+        return original(c, k) * FieldConst.root_of_unity(k)
 
-    monkeypatch.setattr(laurent_mod, "kth_roots", rotated)
-    other = wellmixed_closure(sysm, ID, 1)
-    assert (is_unit(base) and is_unit(other)) or base == other
+    monkeypatch.setattr(laurent_mod, "principal_root", rotated)
+    assert closures() == base
+    assert sum(turned) > 100, sum(turned)
+
+
+def test_wellmixed_depends_on_the_constants():
+    """L = <2, x - 1> = <2, x + 1> is M-saturated under both sigma, yet
+    whether I(rho) is well-mixed depends on its constants: with
+    y1^(2) = -1, the forced binomial is y1^(x - eps) - 1, which
+    y1^(x - 1) = -1 contradicts under id and y1^(x + 1) = -1 under conj."""
+    lattice = [V("2"), V("x-1")]
+    assert all(is_saturated(ghnf(lattice, 1), "m", sigma) for sigma in (ID, CONJ))
+    minus, _ = parse_laurent_system("y1^(2) + 1\ny1^(x-1) + 1")
+    plus, _ = parse_laurent_system("y1^(2) + 1\ny1^(x+1) + 1")
+    for sigma, bad, good in ((ID, minus, plus), (CONJ, plus, minus)):
+        for system, wellmixed in ((bad, False), (good, True)):
+            rho = make_character(system, sigma, 1)
+            assert lattice_equal(rho.basis, lattice)
+            assert is_wellmixed(rho) is wellmixed, (sigma, system)
+            closure = wellmixed_closure(system, sigma, 1)
+            assert closure == rho if wellmixed else is_unit(closure), (sigma, system)
 
 
 def test_dec_laurent():
@@ -343,6 +373,27 @@ def test_make_character_one_tracked_completion(monkeypatch):
     rho = make_character(sys716, ID, n)
     assert not is_unit(rho)
     assert len(keys) == 1 and keys[0][0] is True
+
+
+def test_perfect_closure_one_tracked_completion_per_character(monkeypatch):
+    """The closures' only tracked completions are make_character's: the
+    M step's sat_Z comes from the untracked Z loop."""
+    import sigma_binomial.laurent as laurent_mod
+
+    keys = _count_completions(monkeypatch)
+    made = []
+    original = laurent_mod.make_character
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(laurent_mod, "make_character", counted)
+    for n, system, _ in laurent_systems():
+        for sigma in (ID, CONJ):
+            perfect_closure(system, sigma, n)
+    tracked = sum(track for track, _ in keys)
+    assert made and tracked == len(made), (tracked, len(made))
 
 
 def _check_decomposition(n, system, sigma, rng):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import V, rand_vec, saturation_systems
 from sigma_binomial import saturation
-from sigma_binomial.constants import SigmaConfig
+from sigma_binomial.constants import SigmaConfig, o_m
+from sigma_binomial.laurent import is_wellmixed, make_character, perfect_closure, wellmixed_closure
 from sigma_binomial.polyzx import IntPoly, _is_prime, _trial_divide, prime_factors
 from sigma_binomial.zx_lattice import (
     LatVec,
@@ -25,7 +26,6 @@ from sigma_binomial.zx_lattice import (
     verify_ghnf,
 )
 from sigma_binomial.saturation import (
-    _m_shifts,
     _zfactor_colon,
     _zfactor_prime,
     is_saturated,
@@ -34,9 +34,11 @@ from sigma_binomial.saturation import (
     sat_p,
     sat_x,
     sat_z,
+    torsion_bound,
     xfactor,
     zfactor,
 )
+from sigma_binomial.textio import parse_laurent_system
 
 ID, CONJ = SigmaConfig.IDENTITY, SigmaConfig.CONJUGATION
 
@@ -127,7 +129,10 @@ def test_sat_p_sat_full_example_623():
 def _paper_mfactor(basis, sigma):
     """The paper's MFactor witnesses: (x - o_m)*g outside the lattice for
     the sat_Z columns g with tracked multiplier m != 1."""
-    return [h for h in (shift * g for g, _, shift in _m_shifts(basis, sigma)) if grem(h, basis)]
+    tracked = sat_z(basis)
+    shifted = (IntPoly((-o_m(m, sigma), 1)) * g
+               for g, m in zip(tracked.basis.columns, tracked.multipliers) if m != 1)
+    return [h for h in shifted if grem(h, basis)]
 
 
 def _paper_saturate(gens, n, sigma, kinds):
@@ -171,25 +176,49 @@ def test_m_step_against_the_paper_loop(monkeypatch):
     assert 0 < adding < 400 and len(calls) >= 800, (adding, len(calls))
 
 
+def _wellmixed_answers(text, sigma):
+    system, n = parse_laurent_system(text)
+    return (wellmixed_closure(system, sigma, n), perfect_closure(system, sigma, n),
+            is_wellmixed(make_character(system, sigma, n)))
+
+
 def test_m_step_needs_no_tracked_completion(monkeypatch):
     """sat_m, sat_p and is_saturated(..., "p") answer on Examples 5.22 and
-    6.23 with the tracked Z-saturation out of reach."""
+    6.23, and the well-mixed and perfect closures and is_wellmixed on
+    Example 5.22 and y1^(3) - 1, with the tracked Z-saturation out of
+    reach, and give the answers they give without the patch."""
     ex522 = [V("2", "0"), V("x-1", "0"), V("0", "2"), V("0", "x-1")]
     ex623 = [V("x-1", "0"), V("-2", "2"), V("0", "x-1")]
     cases = [(gens, sigma) for gens in (ex522, ex522[::2], ex623) for sigma in (ID, CONJ)]
     expected = [(_paper_saturate(g, 2, s, "m").columns, _paper_saturate(g, 2, s, "xm").columns)
                 for g, s in cases]
+    systems = [(text, sigma) for text in ("y1^(2) + 1\ny1^(x) - y1\ny2^(2) + 1\ny2^(x) + y2",
+                                          "y1^(3) - 1") for sigma in (ID, CONJ)]
+    answers = [_wellmixed_answers(text, sigma) for text, sigma in systems]
 
     def unreachable(*args, **kwargs):
         raise AssertionError("tracked completion in an M step")
 
     monkeypatch.setattr(saturation, "ghnf_track", unreachable)
-    monkeypatch.setattr(saturation, "_sat_z_canonical", unreachable)
     for (gens, sigma), (m_cols, p_cols) in zip(cases, expected):
         assert sat_m(gens, sigma, 2).columns == m_cols
         assert sat_p(gens, sigma, 2).columns == p_cols
         assert is_saturated(ghnf(gens, 2), "p", sigma) == (p_cols == ghnf(gens, 2).columns)
     assert is_saturated(ghnf(ex522, 2), "p", ID) and is_saturated(ghnf(ex623, 2), "p", ID)
+    for (text, sigma), answer in zip(systems, answers):
+        assert _wellmixed_answers(text, sigma) == answer, (text, sigma)
+
+
+def _check_torsion_bound(basis):
+    """q*g lies in L for every column g of sat_Z(L); whether L has torsion."""
+    q, cols = torsion_bound(basis), sat_z(basis).basis.columns
+    assert all(contains(basis, q * g) for g in cols), (basis, q)
+    return cols != basis.columns
+
+
+def test_torsion_bound_on_the_saturation_family():
+    torsion = sum(_check_torsion_bound(ghnf(gens, n)) for n, gens, _ in saturation_systems())
+    assert 0 < torsion < 200, torsion
 
 
 def test_is_saturated_kinds():
@@ -444,3 +473,10 @@ def test_saturation_closure_properties(lattice):
         assert all(contains(larger, c) for c in s.columns), kind
     tracked = sat_z(sat_z(gens, n).basis)
     assert all(m == 1 for m in tracked.multipliers)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(lattices_and_vector())
+def test_torsion_bound_kills_sat_z(lattice):
+    n, gens, _ = lattice
+    _check_torsion_bound(ghnf(gens, n))

@@ -25,7 +25,6 @@ from sigma_binomial.zx_lattice import (
     lattice_equal,
     member_oracle,
     s_vector,
-    syzygy_basis,
     verify_ghnf,
     _s_multipliers,
 )
@@ -151,18 +150,6 @@ def test_c_inf_prefix_z_independent():
                 col.extend(e.coeff(k) for k in range(width))
             flat.append(col)
         assert ker_int(flat) == []
-
-
-def test_syzygy_basis():
-    assert syzygy_basis(ghnf([V("2", "0")], 2)) == []
-    basis = ghnf([V("2"), V("x")], 1)
-    syz = syzygy_basis(basis)
-    assert syz
-    for x in syz:
-        acc = LatVec.zero(1)
-        for q, col in zip(x.entries, basis.columns):
-            acc = acc + q * col
-        assert not acc
 
 
 def test_gker_examples():
@@ -325,8 +312,6 @@ def test_gker_generates_the_truncated_kernel(lattice):
     assert all(not _image(x, cols, n) for x in gens)
     span = ghnf(gens, len(cols))
     assert all(contains(span, x) for x in _truncated_kernel(cols, 2))
-    basis = ghnf(cols, n)
-    assert all(not _image(x, basis.columns, n) for x in syzygy_basis(basis))
 
 
 @PROPERTY
