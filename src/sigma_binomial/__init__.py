@@ -13,6 +13,7 @@ from .polyzx import (
     ExactDivisionError,
     IntPoly,
     ModPoly,
+    NonUnit,
     ext_gcd,
     mod_reduce,
     poly_from_str,

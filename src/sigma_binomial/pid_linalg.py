@@ -1,4 +1,4 @@
-"""Hermite normal forms and kernels over the Euclidean domains Z and Z_p[x].
+"""Hermite normal forms and kernels over Z and over Z_m[x].
 
 All matrices are lists of columns, to match the lattice convention used
 throughout the package: the pivot of a column is its bottom-most
@@ -10,16 +10,16 @@ two choices:
 - the reducer of a row, the live column whose entry there is least:
   least |a| (the first such in live-list order) with the nearest
   quotient over Z, least (degree, column index) with the polynomial
-  quotient over Z_p[x];
+  quotient over Z_m[x];
 - the unit that normalises a pivot: its sign over Z, the inverse of its
-  leading coefficient over Z_p[x].
+  leading coefficient over Z_m[x].
 
 The kernel of a matrix is read off the zero columns of its HNF.
 """
 
 from __future__ import annotations
 
-from .polyzx import ModPoly
+from .polyzx import ModPoly, inverse_mod
 
 
 def _pivot_row(col) -> int:
@@ -30,7 +30,7 @@ def _pivot_row(col) -> int:
     return -1
 
 
-def _hnf(columns, want_u, zero, one, size, near, unit, start=None):
+def _hnf(columns, want_u, zero, one, size, near, unit, start=None, spent=None):
     """Column HNF with transformation over a Euclidean domain: (H, U), A*U = H.
 
     U is invertible.  Zero columns of H come first; pivot columns follow
@@ -51,6 +51,8 @@ def _hnf(columns, want_u, zero, one, size, near, unit, start=None):
     earlier matrix A0, the returned U satisfies A0*U = H.  This is how an
     HNF is extended by new columns without redoing it: the previous H,
     its transform, and unit columns for the new inputs.
+
+    ``spent``, a one-item list, gains the number of entries updates rewrite.
     """
     s = len(columns)
     n = len(columns[0]) if columns else 0
@@ -81,6 +83,7 @@ def _hnf(columns, want_u, zero, one, size, near, unit, start=None):
         if r >= 0:
             buckets.setdefault(r, []).append(j)
     fixed: list[int] = []
+    rewritten = 0
     for row in range(n - 1, -1, -1):
         live = buckets.pop(row, None)
         if not live:
@@ -90,6 +93,7 @@ def _hnf(columns, want_u, zero, one, size, near, unit, start=None):
             a = work[i][row]
             terms = nonzeros(work[i], row + 1)
             uterms = nonzeros(u[i]) if want_u else ()
+            rewritten += (len(live) - 1) * (len(terms) + len(uterms))
             rest = [i]
             for j in live:
                 if j == i:
@@ -117,8 +121,11 @@ def _hnf(columns, want_u, zero, one, size, near, unit, start=None):
                     terms = nonzeros(work[i], row + 1)
                     uterms = nonzeros(u[i]) if want_u else ()
                 sub(k, q, terms, uterms)
+                rewritten += len(terms) + len(uterms)
         fixed.append(i)
 
+    if spent is not None:
+        spent[0] += rewritten
     pivots = set(fixed)
     order = [j for j in range(s) if j not in pivots] + fixed[::-1]
     return [work[j] for j in order], ([u[j] for j in order] if want_u else [])
@@ -131,27 +138,30 @@ def _nearest(a: int, b: int) -> int:
 
 
 def _hnf_int(
-    columns: list[list[int]], want_u: bool = True, start: list[list[int]] | None = None
+    columns: list[list[int]], want_u: bool = True, start: list[list[int]] | None = None,
+    spent: list[int] | None = None,
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Column HNF over Z with transformation: returns (H, U), A*U = H.
 
     U is unimodular, pivots are positive, and the pivot-row entries of
     later columns lie in [0, pivot).  H is unique for the Z-span of the
     columns; U is not.  With ``start`` (see ``_hnf``), U is start times
-    the elimination's transform.
+    the elimination's transform; ``spent`` counts its work, as in ``_hnf``.
     """
     return _hnf(columns, want_u, 0, 1, lambda a, j: abs(a), _nearest,
-                lambda a: -1 if a < 0 else 1, start)
+                lambda a: -1 if a < 0 else 1, start, spent)
 
 
-def hnf_modpoly(columns, p: int):
-    """Column HNF over Z_p[x] with transformation: returns (B, T), B = A*T.
+def hnf_modpoly(columns, m: int):
+    """Column HNF over Z_m[x] with transformation: returns (B, T), B = A*T.
 
-    T is invertible over Z_p[x], pivots are monic, and the pivot-row
-    entries of later columns have degree below the pivot's.
+    T is invertible over Z_m[x], pivots are monic, and the pivot-row
+    entries of later columns have degree below the pivot's.  A leading
+    coefficient a to invert that is not a unit mod a composite m raises
+    NonUnit with gcd(a, m), a proper factor of m.
     """
-    return _hnf(columns, True, ModPoly(p), ModPoly(p, (1,)), lambda a, j: (a.degree, j),
-                lambda a, b: divmod(a, b)[0], lambda a: pow(a.lead, -1, p))
+    return _hnf(columns, True, ModPoly(m), ModPoly(m, (1,)), lambda a, j: (a.degree, j),
+                lambda a, b: divmod(a, b)[0], lambda a: inverse_mod(a.lead, m))
 
 
 def ker_int(columns) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over Z and over prime fields Z_p.
+"""Exact univariate polynomial arithmetic over Z and over the rings Z_m.
 
 Polynomials are dense coefficient sequences indexed by degree, with
 trailing zeros trimmed.  Everything here is immutable and uses Python's
@@ -24,6 +24,22 @@ class DegenerateInput(ValueError):
 
 class DivisionByZero(ZeroDivisionError):
     """Raised on division by the zero polynomial."""
+
+
+class NonUnit(ArithmeticError):
+    """No inverse of a mod m; ``factor`` is gcd(a, m), proper if a is nonzero mod m."""
+
+    def __init__(self, factor: int, m: int):
+        super().__init__("no inverse mod %d: gcd %d" % (m, factor))
+        self.factor = factor
+
+
+def inverse_mod(a: int, m: int) -> int:
+    """The inverse of a mod m; raises NonUnit when gcd(a, m) > 1."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NonUnit(gcd(a, m), m) from None
 
 
 NEG_INF = float("-inf")
@@ -340,7 +356,8 @@ X = IntPoly((0, 1))
 
 
 class ModPoly:
-    """A univariate polynomial over Z_p with p a machine-sized prime."""
+    """A univariate polynomial over Z_m for any m > 1, kept as ``p``; a
+    divisor whose leading coefficient is not a unit raises NonUnit."""
 
     __slots__ = ("p", "coeffs")
 
@@ -414,7 +431,7 @@ class ModPoly:
         if not other:
             raise DivisionByZero("division by zero polynomial")
         p = self.p
-        inv = pow(other.lead, -1, p)
+        inv = inverse_mod(other.lead, p)
         rem = list(self.coeffs)
         db = len(other.coeffs) - 1
         q = [0] * max(0, len(rem) - db)
@@ -440,7 +457,7 @@ class ModPoly:
 
 
 def mod_reduce(a: IntPoly, p: int) -> ModPoly:
-    """Reduce an integer polynomial mod a prime p."""
+    """Reduce an integer polynomial mod p > 1."""
     return ModPoly(p, a.coeffs)
 
 

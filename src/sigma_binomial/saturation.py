@@ -2,8 +2,8 @@
 
 Each kind has a witness function whose list is empty iff the lattice is
 saturated of that kind: ``xfactor`` finds h with x*h in the lattice from
-the integer kernel of the constant terms, ``zfactor`` finds h with p*h
-in the lattice for a prime p by working over Z_p[x], and ``mfactor``
+the integer kernel of the constant terms, ``zfactor`` finds h with m*h
+in the lattice by working over Z_m[x], and ``mfactor``
 returns (x - 1)*g, or (x + 1)*g under conj, for the Z-saturation
 columns g outside the lattice.  The x-, Z- and full saturations loop,
 adjoining the witnesses of the first kind that has any until none has;
@@ -17,17 +17,14 @@ tracks multipliers into the input, as they are part of its output.
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
 of the blocks' first leading coefficients.  The primes below 1000 are
-tested one by one over Z_p[x]; so is the cofactor r of q when it is a
-prime.  A composite r is tested as a whole: the lattice has r-torsion
-iff L : r = {h | r*h in L} is larger than L, and L : r is read off one
-kernel computation.  Its GHNF columns outside L are then the witnesses,
-each with its least multiplier into L.
-
-For one prime p, ZFactor reads the kernel of all the columns mod p off
-one HNF over Z_p[x]; each kernel vector e gives a candidate
-h = (sum e_l * column_l) / p.  This kernel finds all p-torsion (see
+tested one by one over Z_p[x], then the cofactor r of q over Z_r[x],
+whether r is prime or not.  Over Z_m[x], ZFactor reads the kernel of all
+the columns mod m off one HNF; each kernel vector e gives a candidate
+h = (sum e_l * column_l) / m.  This kernel finds all m-torsion (see
 ``_zfactor_prime``), which Example 7.5, step 3.4, finds in three steps
-from the blocks' last columns and C_-.
+from the blocks' last columns and C_-.  A composite m is treated as a
+prime and split where a leading coefficient is not a unit (the D5
+principle of Della Dora, Dicrescenzo and Duval, EUROCAL 1985).
 
 Witnesses carry exact linear certificates: every SatWitnessX satisfies
 x*h = sum(e_l * column_l) with integer e, every SatWitnessZ satisfies
@@ -42,16 +39,8 @@ from math import lcm, prod
 
 from . import pid_linalg
 from .constants import SigmaConfig
-from .polyzx import IntPoly, _is_prime, _trial_divide, mod_reduce
-from .zx_lattice import (
-    GhnfBasis,
-    LatVec,
-    gker,
-    ghnf,
-    ghnf_track,
-    grem,
-    grem_track,
-)
+from .polyzx import IntPoly, NonUnit, _trial_divide, mod_reduce
+from .zx_lattice import GhnfBasis, LatVec, ghnf, ghnf_track, grem
 
 __all__ = [
     "SatWitnessX",
@@ -123,72 +112,47 @@ def sat_x(gens, n: int | None = None) -> GhnfBasis:
     return _saturate(gens, n, "x")
 
 
-def _zfactor_prime(basis: GhnfBasis, p: int) -> list[SatWitnessZ]:
-    """The ZFactor witnesses for one prime p, from one HNF B = F*T over
-    Z_p[x] of all the columns F mod p.
+def _zfactor_prime(basis: GhnfBasis, m: int) -> list[SatWitnessZ]:
+    """The ZFactor witnesses for a modulus m > 1, from one HNF B = F*T over
+    Z_m[x] of all the columns F mod m.
 
     Each zero column of B makes the matching column of T, lifted to e
     over Z[x], a kernel vector of F; then v = sum(e_l * column_l) is 0
-    mod p, and h = v/p is kept when it lies outside L.
+    mod m, and h = v/m is kept when it lies outside L.
 
-    The list is empty iff L has no p-torsion.  Suppose p*h in L with h
-    outside L, and write p*h = sum(e_l * column_l).  Then e mod p lies in
-    the kernel K of F.  T is invertible and the pivot columns of B are
-    independent, so K is spanned by the columns t_i of T at the zero
-    columns of B, and e = sum(c_i * lift(t_i)) + p*w with c_i, w over
-    Z[x].  Each v_i = sum(lift(t_i)_l * column_l) is p*h_i, and since
-    Z[x]^n has no torsion, h = sum(c_i * h_i) + sum(w_l * column_l).  As
-    h is outside L, so is some h_i.
+    The list is empty iff L has no m-torsion.  Suppose m*h in L with h
+    outside L, and write m*h = sum(e_l * column_l).  Then e mod m lies in
+    the kernel K of F.  T is invertible and the pivots of B are monic, so
+    the pivot columns of B are independent and K is spanned by the
+    columns t_i of T at the zero columns of B, and
+    e = sum(c_i * lift(t_i)) + m*w with c_i, w over Z[x].  Each
+    v_i = sum(lift(t_i)_l * column_l) is m*h_i, and since Z[x]^n has no
+    torsion, h = sum(c_i * h_i) + sum(w_l * column_l).  As h is outside
+    L, so is some h_i.
+
+    Both facts hold over Z_m[x] for a composite m too, unless the HNF
+    meets a leading coefficient a that is not a unit.  Then g = gcd(a, m)
+    splits m, and the witnesses are those of g, else those of m/g: if
+    m*h lies in L with h outside L, either g*h lies in L, or g*h does not
+    and (m/g)*(g*h) does.
 
     Example 7.5, step 3.4, takes the kernel of the blocks' last columns
     only, then reduces C_- mod p and looks for Z_p-relations among the
     residues.  The kernel of all the columns covers both steps at once.
     """
     cols = basis.columns
-    b, t = pid_linalg.hnf_modpoly([[mod_reduce(a, p) for a in c.entries] for c in cols], p)
+    try:
+        b, t = pid_linalg.hnf_modpoly([[mod_reduce(a, m) for a in c.entries] for c in cols], m)
+    except NonUnit as split:
+        return _zfactor_prime(basis, split.factor) or _zfactor_prime(basis, m // split.factor)
     out = []
     for bk, tk in zip(b, t):
         if any(bk):
             continue
         e = tuple(c.lift() for c in tk)
-        h = sum((c * col for c, col in zip(e, cols) if c), LatVec.zero(basis.n)).exact_div(p)
+        h = sum((c * col for c, col in zip(e, cols) if c), LatVec.zero(basis.n)).exact_div(m)
         if grem(h, basis):
-            out.append(SatWitnessZ(h, p, e))
-    return out
-
-
-def _order(basis: GhnfBasis, h: LatVec) -> int:
-    """The least d > 0 with d*h in the lattice, for h of finite order.
-
-    The last entries c of the relations among the columns and h generate
-    the ideal {c | c*h in L}; the first column of its GHNF is a constant,
-    because the ideal contains one, and that constant generates its
-    intersection with Z.
-    """
-    ideal = [LatVec([rel.entries[-1]]) for rel in gker(list(basis.columns) + [h])]
-    return ghnf(ideal, 1).columns[0].entries[0].coeff(0)
-
-
-def _zfactor_colon(basis: GhnfBasis, r: int) -> list[SatWitnessZ]:
-    """The GHNF columns of L : r = {h | r*h in L} outside L, each with k
-    its least multiplier into L, a divisor of r.
-
-    Each relation (a, b) among the columns and r*e_1, ..., r*e_n gives
-    r*(-b) = sum(a_l * column_l), and the -b generate L : r.
-    """
-    cols = list(basis.columns)
-    units = [r * LatVec.unit(basis.n, row) for row in range(basis.n)]
-    quotient = [-LatVec(rel.entries[len(cols):]) for rel in gker(cols + units)]
-    if not any(grem(h, basis) for h in quotient):
-        return []
-    out = []
-    for h in ghnf(cols + quotient, basis.n).columns:
-        if grem(h, basis):
-            k = _order(basis, h)
-            rem, e = grem_track(k * h, basis)
-            if rem:
-                raise AssertionError("ZFactor certificate violated")
-            out.append(SatWitnessZ(h, k, e))
+            out.append(SatWitnessZ(h, m, e))
     return out
 
 
@@ -214,22 +178,17 @@ def zfactor(basis: GhnfBasis) -> list[SatWitnessZ]:
     """Witnesses against Z-saturation; empty iff the lattice is Z-saturated.
 
     Only divisors of q = ``torsion_bound(basis)`` matter, as q kills all
-    torsion.  The primes below 1000 dividing q are tried in
-    ascending order, then the cofactor r: by itself over Z_r[x] when it
-    is a prime, else through L : r without factoring it.  The witnesses
-    of the first that yields any are returned; the rest wait for the
-    next round.
+    torsion.  The primes below 1000 dividing q are tried in ascending
+    order, then the cofactor r over Z_r[x], prime or not, without
+    factoring it.  The witnesses of the first that yields any are
+    returned; the rest wait for the next round.
     """
     small, r = _trial_divide(torsion_bound(basis))
-    for p in small:
-        wits = _zfactor_prime(basis, p)
+    for m in small + ([r] if r > 1 else []):
+        wits = _zfactor_prime(basis, m)
         if wits:
             return wits
-    if r == 1:
-        return []
-    if _is_prime(r):
-        return _zfactor_prime(basis, r)
-    return _zfactor_colon(basis, r)
+    return []
 
 
 def _lcm_used(mult, expr: tuple[IntPoly, ...]) -> int:

@@ -435,7 +435,7 @@ def _reduce_tracked(item: _Tracked, basis: list[_Tracked], track: bool) -> _Trac
 
 def _precondition(
     items: list[_Tracked], cap: int, h: list[list[int]], u: list[list[int]],
-    origin: list[tuple[int, int]], track: bool,
+    origin: list[tuple[int, int]], track: bool, spent: list[int],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Extend the integer HNF of the shifts x^j g to the degree cap.
 
@@ -449,7 +449,8 @@ def _precondition(
     them against h, started from h's transforms ``u``.  Returns the
     nonzero HNF columns at cap, in ascending leading-term order, and,
     when ``track`` is set, their transforms over the shifts listed in
-    ``origin`` as (input index, j); ``origin`` grows by the new shifts.
+    ``origin`` as (input index, j); ``origin`` grows by the new shifts,
+    and ``spent`` by the entries the HNF rewrites.
     """
     n = items[0].vec.n
     width = cap + 1
@@ -469,7 +470,7 @@ def _precondition(
         added = len(origin) - known
         start = [uk + [0] * added for uk in u]
         start += [[int(i == k) for i in range(len(origin))] for k in range(known, len(origin))]
-    hk, uk = pid_linalg._hnf_int(flat, want_u=track, start=start)
+    hk, uk = pid_linalg._hnf_int(flat, want_u=track, start=start, spent=spent)
     nonzero = [k for k in range(len(hk)) if any(hk[k])]
     return [hk[k] for k in nonzero], ([uk[k] for k in nonzero] if track else [])
 
@@ -552,8 +553,9 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
     certifies the result with ``_certified``.  A round whose leading
     coefficients do not form a divisibility chain, or whose certificate
     fails, moves to the next cap.  Expressions are built only for the
-    kept columns.  HNF cells and reductions spend from ``max_steps``;
-    running out raises RuntimeError.
+    kept columns.  A round spends from ``max_steps`` its rows times its
+    new shifts, one step per tail reduction and one per 20 entries its
+    HNF rewrites; running out raises RuntimeError.
 
     Returns (basis, quotients, syzygies): the basis as tracked items and
     the certificate's quotients, which in track mode are each input over
@@ -564,6 +566,7 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
     n = inputs[0].vec.n
     top = max(it.vec.max_degree() for it in inputs)
     budget = max_steps
+    spent = [0]
     h: list[list[int]] = []
     u: list[list[int]] = []
     origin: list[tuple[int, int]] = []
@@ -572,9 +575,9 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
         cap += 1
         width = cap + 1
         known, prev = len(origin), len(h)
-        h, u = _precondition(inputs, cap, h, u, origin, track)
+        h, u = _precondition(inputs, cap, h, u, origin, track, spent)
         shape = (n * width, prev + len(origin) - known)
-        budget -= shape[0] * shape[1]
+        budget -= shape[0] * (len(origin) - known)
         pivots = [pid_linalg._pivot_row(col) for col in h]
         kept = _minimal_chain([(p // width + 1, p % width, h[k][p]) for k, p in enumerate(pivots)])
         if kept is not None:
@@ -593,7 +596,7 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
             cert = _certified([it.vec for it in basis], [it.vec for it in inputs], track)
             if cert is not None:
                 return (basis, *cert)
-        if budget < 0:
+        if budget < spent[0] // 20:
             raise RuntimeError(
                 "completion did not stabilize: degree cap %d, last HNF %dx%d"
                 % (cap, shape[0], shape[1])

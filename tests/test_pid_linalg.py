@@ -14,7 +14,7 @@ from sigma_binomial.pid_linalg import (
     int_lattice_contains,
     ker_int,
 )
-from sigma_binomial.polyzx import ModPoly, mod_reduce, poly_from_str
+from sigma_binomial.polyzx import ModPoly, NonUnit, mod_reduce, poly_from_str
 
 P = poly_from_str
 
@@ -91,6 +91,29 @@ def test_hnf_modpoly_already_hnf():
     assert b == f
     one, zero = ModPoly(3, (1,)), ModPoly(3)
     assert t == [[one, zero], [zero, one]]
+
+
+def test_hnf_modpoly_composite_modulus():
+    # a lead that is not a unit mod m stops the HNF with a proper factor
+    with pytest.raises(NonUnit) as raised:
+        hnf_modpoly(M(15, ("3",)), 15)
+    assert raised.value.factor == 3
+    with pytest.raises(NonUnit) as raised:
+        hnf_modpoly(M(15, ("x+1", "0"), ("2", "5*x+1")), 15)
+    assert raised.value.factor == 5
+    # with every lead a unit, it is an HNF with monic pivots
+    m = 1009 * 1013
+    f = M(m, ("2*x^2+3", "0"), ("x+5", "7*x-1"), ("4", "x^2"))
+    b, t = hnf_modpoly(f, m)
+    nonzero = [c for c in b if any(c)]
+    assert [_pivot_row(c) for c in nonzero] == [0, 1]
+    assert all(c[_pivot_row(c)].lead == 1 for c in nonzero)
+    for k in range(3):
+        for r in range(2):
+            acc = ModPoly(m)
+            for j in range(3):
+                acc = acc + f[j][r] * t[k][j]
+            assert acc == b[k][r]
 
 
 def test_hnf_transformation_invertible():

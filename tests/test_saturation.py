@@ -20,13 +20,13 @@ from sigma_binomial.zx_lattice import (
     LatVec,
     contains,
     ghnf,
+    gker,
     grem,
     lattice_equal,
     member_oracle,
     verify_ghnf,
 )
 from sigma_binomial.saturation import (
-    _zfactor_colon,
     _zfactor_prime,
     is_saturated,
     sat_full,
@@ -300,8 +300,9 @@ def test_sat_x_oracle_property():
 
 
 # ---------------------------------------------------------------------------
-# zfactor past trial division: a composite cofactor of the leading
-# coefficients is tested through L : r, never factored.
+# zfactor past trial division: a composite cofactor r of the leading
+# coefficients is tested over Z_r[x] and split at a non-unit, never
+# factored.
 
 
 def _bench_gen():
@@ -355,7 +356,8 @@ def test_sat_z_composite_torsion():
 
 def test_zfactor_colon_least_order():
     # 1022117 = 1009 * 1013 and the torsion is 1009 * (1013x - 1): the
-    # colon test returns that one column with its least multiplier
+    # column is -1009 mod 1022117, not a unit, so the HNF over Z_r[x]
+    # splits r and the witness comes from Z_1009[x] with its least multiplier
     basis = ghnf([V("1022117*x-1009")], 1)
     wits = zfactor(basis)
     assert [(w.h, w.k, w.e) for w in wits] == [(V("1013*x-1"), 1009, (IntPoly((1,)),))]
@@ -385,8 +387,8 @@ _MID_PRIMES = [p for p in range(1009, 10**5, 2) if _is_prime(p)][::40]
 
 @st.composite
 def cofactor_lattices(draw):
-    """(n, generators) whose first leading coefficients have a composite
-    cofactor, a product of two primes in [1009, 10^5].
+    """(n, generators, (p1, p2)) whose first leading coefficients have a
+    composite cofactor, a product of the two primes p1, p2 in [1009, 10^5].
 
     The generators are triangular, (c1*f1, 0) and (h, c2*f2), so the
     blocks lead with c1*lc(f1) and c2*lc(f2).  Each f has constant term
@@ -406,13 +408,13 @@ def cofactor_lattices(draw):
     if n == 2:
         lead = draw(st.sampled_from([1, p1, p2])) * draw(st.integers(1, 6))
         gens.append(LatVec([poly(draw(small)), draw(big) * poly(lead)]))
-    return n, gens
+    return n, gens, (p1, p2)
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=2))
 @given(cofactor_lattices())
 def test_zfactor_agrees_with_prime_by_prime(lattice):
-    n, gens = lattice
+    n, gens, _ = lattice
     basis = ghnf(gens, n)
     wits = zfactor(basis)
     assert (wits == []) == (_zfactor_by_primes(basis) == [])
@@ -420,6 +422,15 @@ def test_zfactor_agrees_with_prime_by_prime(lattice):
         assert w.k * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
         assert not contains(basis, w.h)
     assert sat_z(gens, n).basis == _sat_z_by_primes(gens, n)
+
+
+def _colon_adds_nothing(basis, m):
+    """Whether L : m = {h | m*h in L} is L itself.  Each relation (a, b)
+    among the columns and m*e_1, ..., m*e_n gives m*(-b) = sum(a_l *
+    column_l), and the -b generate L : m."""
+    cols = list(basis.columns)
+    units = [m * LatVec.unit(basis.n, row) for row in range(basis.n)]
+    return not any(grem(LatVec(rel.entries[len(cols):]), basis) for rel in gker(cols + units))
 
 
 def test_zfactor_prime_agrees_with_colon():
@@ -432,13 +443,29 @@ def test_zfactor_prime_agrees_with_colon():
         for p in small + ([r] if 1 < r < 10**6 else []):
             assert _is_prime(p)
             wits = _zfactor_prime(basis, p)
-            assert (wits == []) == (_zfactor_colon(basis, p) == []), (gens, p)
+            assert (wits == []) == _colon_adds_nothing(basis, p), (gens, p)
             for w in wits:
                 assert w.k == p and not contains(basis, w.h)
                 assert p * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
             pairs += 1
             torsion += bool(wits)
     assert (pairs, torsion) == (279, 146)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(cofactor_lattices())
+def test_zfactor_prime_composite_modulus(lattice):
+    # over Z_m[x] for m = p1*p2 and for each prime alone: no witness iff
+    # L : m adds nothing, and each witness h lies outside L with k | m and
+    # k*h = sum(e_l * column_l)
+    n, gens, (p1, p2) = lattice
+    basis = ghnf(gens, n)
+    for m in (p1 * p2, p1, p2):
+        wits = _zfactor_prime(basis, m)
+        assert (wits == []) == _colon_adds_nothing(basis, m), (gens, m)
+        for w in wits:
+            assert m % w.k == 0 and not contains(basis, w.h)
+            assert w.k * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
 
 
 @st.composite

@@ -401,3 +401,16 @@ def test_completion_budget_error_names_cap_and_shape():
         zx._complete(items, False, max_steps=1)
     # the default budget is enough
     assert verify_ghnf(ghnf([it.vec for it in items], 2))[0]
+
+
+def test_completion_budget_charges_the_work_done():
+    # n = s = 6, degree 8, entries <= 1000: the rounds past cap 9 extend an
+    # HNF of about 200 columns by 6 shifts each; charged rows times all
+    # columns, this lattice was refused at cap 38 after 1.3 s
+    gens = _square_tail(1000, 0, n=6, maxdeg=8)
+    start = time.perf_counter()
+    basis = ghnf(gens, 6)
+    assert time.perf_counter() - start < 10.0
+    ok, problems = verify_ghnf(basis)
+    assert ok, problems
+    assert all(contains(basis, g) for g in gens)

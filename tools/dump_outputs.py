@@ -18,6 +18,14 @@ it.  OUT receives one line per output:
   input's GHNF for kinds m and p, and the GHNF of the input plus its
   ``mfactor`` witnesses (the witness vectors are not canonical, the
   lattice they add is);
+- on a cofactor family per saturation seed (``_cofactor_family``), whose
+  torsion bounds have a composite cofactor past trial division: ``sat_z``
+  without its multipliers, ``sat_full``, ``sat_p`` under both
+  automorphisms, whether ``zfactor`` is empty, and ``dec_laurent`` of the
+  binomials Y^g - 1 over the input's GHNF columns g under both
+  automorphisms, a refusal without its count; the witnesses and
+  multipliers are left out, as the split of the cofactor decides them,
+  not the lattice;
 - on the criterion-9 Laurent family, per seed and trial: the reflexive,
   well-mixed and perfect closures and ``dec_laurent``; then, for the
   system's own character, its perfect closure and each of its
@@ -41,6 +49,7 @@ import argparse
 import importlib
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -130,6 +139,42 @@ def _cli_cases(gen, tmp):
         yield "cli/usage/%d" % k, argv, ""
 
 
+COFACTOR_TRIALS = 60
+# every 40th prime in [1009, 10^5], as in tests/test_saturation.py
+MID_PRIMES = [p for p in range(1009, 10**5, 2)
+              if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))][::40]
+
+
+def _cofactor_family(seed: int):
+    """(n, generators as coefficient lists) per trial, n = 1-3.
+
+    Generator k is zero past row k, with small entries before it and
+    entry k equal to c*f: c one of 1, p1, p2, p1*p2, and f of constant
+    term +-1 with a leading coefficient that is a multiple of p1*p2 for
+    k = 0, of 1, p1 or p2 otherwise, for two primes p1, p2 of
+    ``MID_PRIMES``.  So the torsion bound's cofactor past 1000 is built
+    from p1 and p2, and the contents decide whether there is torsion.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(COFACTOR_TRIALS):
+        p1, p2 = rng.sample(MID_PRIMES, 2)
+        n = rng.randint(1, 3)
+
+        def poly(lead):
+            content = rng.choice([1, 1, 1, p1, p2, p1 * p2])
+            lower = [rng.choice([1, -1])] + [rng.randint(-4, 4)] * rng.randint(0, 1)
+            return [content * c for c in lower + [lead]]
+
+        gens = []
+        for k in range(n):
+            lead = (p1 * p2 if k == 0 else rng.choice([1, p1, p2])) * rng.randint(1, 6)
+            small = [[rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] for _ in range(k)]
+            gens.append(small + [poly(lead)] + [[]] * (n - k - 1))
+        out.append((n, gens))
+    return out
+
+
 def _columns(basis):
     return [[str(e) for e in c.entries] for c in basis.columns]
 
@@ -205,6 +250,28 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
 
                 emit("%s/mfactor/%s" % (tag, sigma.name), _guard(with_witnesses))
             emit(tag + "/sat_full", _guard(lambda: _columns(sb.sat_full(gens, n))))
+
+        for trial, (n, gens) in enumerate(_cofactor_family(seed)):
+            gens = [worker._vec(sb, g) for g in gens]
+            tag = "cofactor/%d/%d" % (seed, trial)
+            emit(tag + "/sat_z", _guard(lambda: _columns(sb.sat_z(gens, n).basis)))
+            emit(tag + "/sat_full", _guard(lambda: _columns(sb.sat_full(gens, n))))
+            emit(tag + "/zfactor_empty", _guard(lambda: sb.zfactor(sb.ghnf(gens, n)) == []))
+            for sigma in sigmas:
+                emit("%s/sat_p/%s" % (tag, sigma.name), _guard(lambda: _columns(sb.sat_p(gens, sigma, n))))
+
+                def components():
+                    one = sb.const_from_str("1")
+                    system = [sb.LaurentBinomial(g, one) for g in sb.ghnf(gens, n).columns]
+                    try:
+                        comps = sb.dec_laurent(system, sigma, n)
+                    except RuntimeError as exc:
+                        # the count of root choices a refusal names is a
+                        # product of witness orders, which are not canonical
+                        return "refused: %s" % str(exc).split(":")[0]
+                    return [[str(b) for b in c.binomials] for c in comps]
+
+                emit("%s/dec_laurent/%s" % (tag, sigma.name), _guard(components))
 
     for seed in laurent_seeds:
         family = _with_seed(gen, "LAURENT_SEED", seed, gen.laurent_family)
