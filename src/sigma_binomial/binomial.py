@@ -216,19 +216,11 @@ def dec_binomial(items, sigma: SigmaConfig, n: int | None = None) -> list[Compon
             components.append(
                 Component(n, cur.zero_vars, chain, cur.nonzero_vars, rho)
             )
-        alive = sorted(set(range(n)) - cur.zero_vars)
-        for i, var in enumerate(alive):
-            if var in cur.nonzero_vars:
-                continue
-            work.extend(
-                dec_mono(
-                    MonoTriple(
-                        cur.zero_vars | {var},
-                        cur.items,
-                        cur.nonzero_vars | set(alive[:i]),
-                    )
-                )
-            )
+        # some live variable is zero: branch on the monomial of the live
+        # ones (_substitute_zero would drop one with a zeroed variable)
+        live = LatVec(IntPoly((int(i not in cur.zero_vars),)) for i in range(n))
+        mono = PlainBinomial(live, LatVec.zero(n), None)
+        work.extend(dec_mono(MonoTriple(cur.zero_vars, cur.items + (mono,), cur.nonzero_vars)))
     components.sort(key=_component_sort_key)
     return components
 

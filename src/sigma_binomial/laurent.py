@@ -272,28 +272,27 @@ def _reflexive_forced(rho: PartialCharacter):
 
 def _wellmixed_forced(rho: PartialCharacter):
     """The binomials forced into any well-mixed ideal containing I(rho)
-    that are not members: for each column g of sat_Z(L) outside L's GHNF,
-    support (x - eps) g with constant b^(x - eps), for (x - eps, sat_Z(L))
-    from ``saturation.m_shift`` and b the principal q-th root of
-    rho(q g), q = ``saturation.torsion_bound(L)``.
+    that are not members: for each column g of sat_Z(L) with least
+    multiplier m > 1 (``saturation.sat_z``), support (x - eps) g with
+    constant a^(x - eps), a the principal m-th root of rho(m g), and
+    x - eps from ``saturation.m_shift``.
 
     The paper's binomial, with support (x - o_m) g and constant
-    a^(x - o_m) for m g in L and a^m = rho(m g), differs from this one by
-    a member: (o_m - eps) g is a multiple of m g, and b/a is a root of
-    unity zeta of order dividing q m, with zeta^(x - eps) = 1 as
-    o_N = eps mod N.  So the root choice is irrelevant too.
+    a^(x - o_m), differs from this one by a member: (o_m - eps) g is a
+    multiple of m g, as o_m = eps mod m.  Another m-th root is a times a
+    root of unity zeta of order dividing m, and zeta^(x - eps) = 1, so
+    the root choice is irrelevant too.
     """
-    q = saturation.torsion_bound(rho.basis)
-    shift, cols = saturation.m_shift(rho.basis, rho.sigma)
-    own = set(rho.basis.columns)
+    shift = saturation.m_shift(rho.sigma)
+    sat = saturation.sat_z(rho.basis)
     forced = []
-    for g in cols:
-        if g in own:
+    for g, m in zip(sat.basis.columns, sat.multipliers):
+        if m == 1:
             continue
-        value = rho.value(q * g)
+        value = rho.value(m * g)
         if value is None:
-            raise AssertionError("torsion bound violated")
-        b = LaurentBinomial(shift * g, _apply((shift,), (principal_root(value, q),), rho.sigma))
+            raise AssertionError("multiplier violated")
+        b = LaurentBinomial(shift * g, _apply((shift,), (principal_root(value, m),), rho.sigma))
         if not member(b, rho):
             forced.append(b)
     return forced

@@ -9,10 +9,9 @@ columns g outside the lattice.  The x-, Z- and full saturations loop,
 adjoining the witnesses of the first kind that has any until none has;
 each witness lies in every saturated lattice containing the current one.
 M-saturation takes one round, and P-saturation one after sat_x.  The
-M step needs no multipliers: ``m_shift`` gives it x - eps and sat_Z(L)
-from the untracked Z loop, and ``torsion_bound`` one q with q*sat_Z(L)
-in L, which ``laurent``'s well-mixed step shares.  Only ``sat_z``
-tracks multipliers into the input, as they are part of its output.
+M step needs no multipliers: it shifts every column of sat_Z(L) by
+x - eps (``m_shift``).  ``sat_z`` reads each column's least multiplier
+into the input off the input's GHNF (``_multiplier``).
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
@@ -35,12 +34,12 @@ composite with no prime factor below 1000.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, prod
 
 from . import pid_linalg
 from .constants import SigmaConfig
 from .polyzx import IntPoly, NonUnit, _trial_divide, mod_reduce
-from .zx_lattice import GhnfBasis, LatVec, ghnf, ghnf_track, grem
+from .zx_lattice import GhnfBasis, LatVec, ghnf, grem
 
 __all__ = [
     "SatWitnessX",
@@ -81,8 +80,8 @@ class SatWitnessZ:
 
 @dataclass(frozen=True)
 class TrackedBasis:
-    """A GHNF with, per column, a multiplier m with m*column in the
-    original input lattice."""
+    """A GHNF with, per column, the least multiplier m >= 1 with
+    m*column in the original input lattice."""
 
     basis: GhnfBasis
     multipliers: tuple[int, ...]
@@ -191,39 +190,45 @@ def zfactor(basis: GhnfBasis) -> list[SatWitnessZ]:
     return []
 
 
-def _lcm_used(mult, expr: tuple[IntPoly, ...]) -> int:
-    """lcm of the multipliers of the inputs that expr uses."""
-    return lcm(*(m for m, e in zip(mult, expr) if e))
+def _multiplier(g: LatVec, basis: GhnfBasis) -> int:
+    """The least m >= 1 with m*g in L, for g in sat_Z(L).
+
+    While r = grem(m*g, L) is not 0, with leading term c*x^d in row i, m
+    grows by c_L/gcd(c, c_L), c_L the leading coefficient of L's block-i
+    column of largest degree <= d, the least applicable one.  By
+    induction m divides the least multiplier D = m*k, so
+    k*r = D*g - k*(m*g - r) lies in L.  A GHNF is a strong Groebner basis
+    over Z (Kandri-Rody and Kapur, JSC 1988) whose blocks' leading
+    coefficients form divisibility chains, so c_L divides k*c, and
+    c_L/gcd(c, c_L) divides k.  As 0 < c < c_L, each factor is > 1, and
+    the loop ends within log2(``torsion_bound(L)``) steps, without
+    factoring.
+    """
+    m = 1
+    while r := grem(m * g, basis):
+        lt = r.leading_term()
+        c_l = min(lc for b in basis.blocks if b.pivot_row == lt.row
+                  for d, lc in zip(b.degrees, b.leading_coeffs) if d <= lt.deg)
+        m *= c_l // gcd(lt.coeff, c_l)
+    return m
 
 
 def sat_z(gens, n: int | None = None) -> TrackedBasis:
-    """The Z-saturation with per-column multipliers into the input lattice.
-
-    Each round adjoins the ZFactor witnesses, whose multiplier is k times
-    those of the columns their certificate uses, and completes once.
-    """
-    if isinstance(gens, GhnfBasis):
-        gens, n = gens.columns, gens.n
-    basis = ghnf(gens, n)
-    mult = (1,) * len(basis.columns)
-    while wits := zfactor(basis):
-        current = list(basis.columns) + [w.h for w in wits]
-        current_mult = mult + tuple(w.k * _lcm_used(mult, w.e) for w in wits)
-        basis, exprs = ghnf_track(current, basis.n)
-        mult = tuple(_lcm_used(current_mult, expr) for expr in exprs)
-    return TrackedBasis(basis, mult)
+    """The Z-saturation with each column's least multiplier into the
+    input lattice (``_multiplier``)."""
+    basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
+    sat = _saturate(basis, None, "z")
+    return TrackedBasis(sat, tuple(_multiplier(g, basis) for g in sat.columns))
 
 
-def m_shift(basis: GhnfBasis, sigma: SigmaConfig) -> tuple[IntPoly, tuple[LatVec, ...]]:
-    """(x - eps, the columns of sat_Z(L)) for L given by its GHNF, with
-    eps = 1 under id and -1 under conj, from the untracked Z loop.
+def m_shift(sigma: SigmaConfig) -> IntPoly:
+    """x - eps, with eps = 1 under id and -1 under conj.
 
     The paper's M step multiplies each column g with m*g in L by x - o_m.
     As o_m = eps mod m, (x - o_m)*g and (x - eps)*g differ by a multiple
     of m*g, which lies in L, so one shift serves every column.
     """
-    shift = IntPoly((-1, 1) if sigma is SigmaConfig.IDENTITY else (1, 1))
-    return shift, _saturate(basis, None, "z").columns
+    return IntPoly((-1, 1) if sigma is SigmaConfig.IDENTITY else (1, 1))
 
 
 def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:
@@ -231,7 +236,7 @@ def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:
     columns g of sat_Z(L) (``m_shift``); empty iff L is M-saturated.
     Under conj, (x + 1)*g replaces the paper's (x - m + 1)*g; the lattice
     adjoined is the same."""
-    shift, cols = m_shift(basis, sigma)
+    shift, cols = m_shift(sigma), _saturate(basis, None, "z").columns
     return [h for h in (shift * g for g in cols) if grem(h, basis)]
 
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V, rand_vec, saturation_systems
-from sigma_binomial import saturation
+from sigma_binomial import laurent, saturation, zx_lattice
 from sigma_binomial.constants import SigmaConfig, o_m
-from sigma_binomial.laurent import is_wellmixed, make_character, perfect_closure, wellmixed_closure
+from sigma_binomial.laurent import is_wellmixed, perfect_closure, wellmixed_closure
 from sigma_binomial.polyzx import IntPoly, _is_prime, _trial_divide, prime_factors
 from sigma_binomial.zx_lattice import (
     LatVec,
@@ -179,34 +179,53 @@ def test_m_step_against_the_paper_loop(monkeypatch):
 def _wellmixed_answers(text, sigma):
     system, n = parse_laurent_system(text)
     return (wellmixed_closure(system, sigma, n), perfect_closure(system, sigma, n),
-            is_wellmixed(make_character(system, sigma, n)))
+            is_wellmixed(laurent.make_character(system, sigma, n)))
 
 
 def test_m_step_needs_no_tracked_completion(monkeypatch):
-    """sat_m, sat_p and is_saturated(..., "p") answer on Examples 5.22 and
-    6.23, and the well-mixed and perfect closures and is_wellmixed on
-    Example 5.22 and y1^(3) - 1, with the tracked Z-saturation out of
-    reach, and give the answers they give without the patch."""
+    """sat_m, sat_p, sat_z and is_saturated(..., "p") answer on Examples
+    5.22 and 6.23 with tracked completion out of reach, and the
+    well-mixed and perfect closures and is_wellmixed on Example 5.22 and
+    y1^(3) - 1 run one tracked completion per make_character; all give
+    the answers they give without the patch."""
     ex522 = [V("2", "0"), V("x-1", "0"), V("0", "2"), V("0", "x-1")]
     ex623 = [V("x-1", "0"), V("-2", "2"), V("0", "x-1")]
     cases = [(gens, sigma) for gens in (ex522, ex522[::2], ex623) for sigma in (ID, CONJ)]
     expected = [(_paper_saturate(g, 2, s, "m").columns, _paper_saturate(g, 2, s, "xm").columns)
                 for g, s in cases]
+    sat_zs = [sat_z(gens, 2) for gens, _ in cases]
     systems = [(text, sigma) for text in ("y1^(2) + 1\ny1^(x) - y1\ny2^(2) + 1\ny2^(x) + y2",
                                           "y1^(3) - 1") for sigma in (ID, CONJ)]
     answers = [_wellmixed_answers(text, sigma) for text, sigma in systems]
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("tracked completion in an M step")
+    real_complete, real_character = zx_lattice._complete, laurent.make_character
+    counts = {"tracked": 0, "characters": 0}
 
-    monkeypatch.setattr(saturation, "ghnf_track", unreachable)
-    for (gens, sigma), (m_cols, p_cols) in zip(cases, expected):
+    def untracked(inputs, track, *args, **kwargs):
+        if track:
+            raise AssertionError("tracked completion in an M step")
+        return real_complete(inputs, track, *args, **kwargs)
+
+    def counted_complete(inputs, track, *args, **kwargs):
+        counts["tracked"] += track
+        return real_complete(inputs, track, *args, **kwargs)
+
+    def counted_character(*args, **kwargs):
+        counts["characters"] += 1
+        return real_character(*args, **kwargs)
+
+    monkeypatch.setattr(zx_lattice, "_complete", untracked)
+    for (gens, sigma), (m_cols, p_cols), sz in zip(cases, expected, sat_zs):
+        assert sat_z(gens, 2) == sz
         assert sat_m(gens, sigma, 2).columns == m_cols
         assert sat_p(gens, sigma, 2).columns == p_cols
         assert is_saturated(ghnf(gens, 2), "p", sigma) == (p_cols == ghnf(gens, 2).columns)
     assert is_saturated(ghnf(ex522, 2), "p", ID) and is_saturated(ghnf(ex623, 2), "p", ID)
+    monkeypatch.setattr(zx_lattice, "_complete", counted_complete)
+    monkeypatch.setattr(laurent, "make_character", counted_character)
     for (text, sigma), answer in zip(systems, answers):
         assert _wellmixed_answers(text, sigma) == answer, (text, sigma)
+    assert counts["tracked"] == counts["characters"] > 0, counts
 
 
 def _check_torsion_bound(basis):
@@ -466,6 +485,36 @@ def test_zfactor_prime_composite_modulus(lattice):
         for w in wits:
             assert m % w.k == 0 and not contains(basis, w.h)
             assert w.k * w.h == sum((e * c for e, c in zip(w.e, basis.columns)), LatVec.zero(n))
+
+
+def _check_least_multipliers(basis, primes=()):
+    """Each column g of sat_Z(L) has m*g in L and (m/p)*g outside L for
+    every prime p | m, m its multiplier; primes lists the prime factors
+    past trial division that m may have.  Returns whether some m > 1."""
+    tracked = sat_z(basis)
+    for g, m in zip(tracked.basis.columns, tracked.multipliers):
+        assert contains(basis, m * g), (basis, g, m)
+        small, rest = _trial_divide(m)
+        big = [p for p in primes if rest % p == 0]
+        for p in big:
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1 or _is_prime(rest), (m, rest)
+        for p in small + big + ([rest] if rest > 1 else []):
+            assert not contains(basis, (m // p) * g), (basis, g, m, p)
+    return any(m > 1 for m in tracked.multipliers)
+
+
+def test_sat_z_multipliers_are_least():
+    torsion = sum(_check_least_multipliers(ghnf(gens, n)) for n, gens, _ in saturation_systems())
+    assert 0 < torsion < 200, torsion
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(cofactor_lattices())
+def test_sat_z_multipliers_are_least_past_trial_division(lattice):
+    n, gens, primes = lattice
+    _check_least_multipliers(ghnf(gens, n), primes)
 
 
 @st.composite

@@ -13,19 +13,18 @@ it.  OUT receives one line per output:
   generates: its generator list is not canonical, the kernel is;
 - on the criterion-9 saturation family, per seed and trial: the
   ``zfactor`` witnesses (h, k, e) of the input's GHNF, ``sat_z`` with
-  its multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
+  its least multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
   and ``sat_full``; also, per automorphism, ``is_saturated`` of the
   input's GHNF for kinds m and p, and the GHNF of the input plus its
   ``mfactor`` witnesses (the witness vectors are not canonical, the
   lattice they add is);
 - on a cofactor family per saturation seed (``_cofactor_family``), whose
   torsion bounds have a composite cofactor past trial division: ``sat_z``
-  without its multipliers, ``sat_full``, ``sat_p`` under both
+  with its least multipliers, ``sat_full``, ``sat_p`` under both
   automorphisms, whether ``zfactor`` is empty, and ``dec_laurent`` of the
   binomials Y^g - 1 over the input's GHNF columns g under both
-  automorphisms, a refusal without its count; the witnesses and
-  multipliers are left out, as the split of the cofactor decides them,
-  not the lattice;
+  automorphisms, a refusal without its count; the witnesses are left
+  out, as the split of the cofactor decides them, not the lattice;
 - on the criterion-9 Laurent family, per seed and trial: the reflexive,
   well-mixed and perfect closures and ``dec_laurent``; then, for the
   system's own character, its perfect closure and each of its
@@ -179,6 +178,11 @@ def _columns(basis):
     return [[str(e) for e in c.entries] for c in basis.columns]
 
 
+def _sat_z(sb, gens, n):
+    tracked = sb.sat_z(gens, n)
+    return _columns(tracked.basis), tracked.multipliers
+
+
 def _queries(sb, rho):
     """Query supports for a character: the unit vectors, one vector that
     few lattices hold, and four combinations of rho's columns (so inside
@@ -231,12 +235,8 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
                 return [(str(w.h), w.k, [str(e) for e in w.e])
                         for w in sb.zfactor(sb.ghnf(gens, n))]
 
-            def satz():
-                tracked = sb.sat_z(gens, n)
-                return _columns(tracked.basis), tracked.multipliers
-
             emit(tag + "/zfactor", _guard(witnesses))
-            emit(tag + "/sat_z", _guard(satz))
+            emit(tag + "/sat_z", _guard(lambda: _sat_z(sb, gens, n)))
             for sigma in sigmas:
                 emit("%s/sat_m/%s" % (tag, sigma.name), _guard(lambda: _columns(sb.sat_m(gens, sigma, n))))
                 emit("%s/sat_p/%s" % (tag, sigma.name), _guard(lambda: _columns(sb.sat_p(gens, sigma, n))))
@@ -254,7 +254,7 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
         for trial, (n, gens) in enumerate(_cofactor_family(seed)):
             gens = [worker._vec(sb, g) for g in gens]
             tag = "cofactor/%d/%d" % (seed, trial)
-            emit(tag + "/sat_z", _guard(lambda: _columns(sb.sat_z(gens, n).basis)))
+            emit(tag + "/sat_z", _guard(lambda: _sat_z(sb, gens, n)))
             emit(tag + "/sat_full", _guard(lambda: _columns(sb.sat_full(gens, n))))
             emit(tag + "/zfactor_empty", _guard(lambda: sb.zfactor(sb.ghnf(gens, n)) == []))
             for sigma in sigmas:
