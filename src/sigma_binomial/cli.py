@@ -195,7 +195,7 @@ def run(argv) -> int:
     except (OSError, ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except (RuntimeError, AssertionError, MemoryError) as exc:
         print("error: internal failure: %s" % exc, file=sys.stderr)
         return 3
     try:

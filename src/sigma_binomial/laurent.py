@@ -298,39 +298,40 @@ def _wellmixed_forced(rho: PartialCharacter):
     return forced
 
 
-def _close(binomials, sigma: SigmaConfig, n: int | None, *steps):
-    """Adjoin the forced binomials of the first step that has any, until
-    none has; UNIT as soon as the ideal is improper.
-
-    Every forced binomial lies in every closed ideal containing the
-    current one, so the order of adjoining does not change the result.
-    """
-    rho = make_character(binomials, sigma, n)
-    while not is_unit(rho):
-        for step in steps:
-            forced = step(rho)
-            if forced:
-                break
-        else:
-            return rho
-        rho = make_character(list(rho.binomials) + forced, sigma, rho.n)
-    return UNIT
-
-
 def reflexive_closure(binomials, sigma: SigmaConfig, n: int | None = None):
-    """Reflexive closure: adjoin sigma^{-1}-preimages of XFactor witnesses."""
-    return _close(binomials, sigma, n, _reflexive_forced)
+    """Reflexive closure: adjoin sigma^{-1}-preimages of XFactor witnesses
+    until there are none; UNIT as soon as the ideal is improper."""
+    rho = make_character(binomials, sigma, n)
+    while not is_unit(rho) and (forced := _reflexive_forced(rho)):
+        rho = make_character(list(rho.binomials) + forced, sigma, rho.n)
+    return rho
+
+
+def _wellmixed_round(rho):
+    """rho with its well-mixed forced binomials adjoined once, or UNIT.
+
+    Over the result rho', of lattice L' = L + (x - eps) sat_Z(L), nothing
+    is forced.  sat_Z(L') = sat_Z(L), and for each of its columns g the
+    least multiplier m' over L' divides m over L, as m g lies in L'.  So
+    the principal roots have a'^m = rho'(m g) = rho(m g) = a^m, a' = a zeta
+    with zeta^m = 1, and zeta^(x - eps) = 1: each binomial forced over L'
+    is one that rho held or the round adjoined.  If L is x-saturated, so
+    is L' (``saturation.sat_p``).
+    """
+    if is_unit(rho) or not (forced := _wellmixed_forced(rho)):
+        return rho
+    return make_character(list(rho.binomials) + forced, rho.sigma, rho.n)
 
 
 def wellmixed_closure(binomials, sigma: SigmaConfig, n: int | None = None):
-    """Well-mixed closure: force (x - eps)-multiples of the sat_Z columns
-    until stable or unit."""
-    return _close(binomials, sigma, n, _wellmixed_forced)
+    """Well-mixed closure: one well-mixed round (``_wellmixed_round``)."""
+    return _wellmixed_round(make_character(binomials, sigma, n))
 
 
 def perfect_closure(binomials, sigma: SigmaConfig, n: int | None = None):
-    """Perfect closure: the least ideal that is reflexive and well-mixed."""
-    return _close(binomials, sigma, n, _reflexive_forced, _wellmixed_forced)
+    """Perfect closure, the least reflexive and well-mixed ideal: one
+    well-mixed round on the reflexive closure (``_wellmixed_round``)."""
+    return _wellmixed_round(reflexive_closure(binomials, sigma, n))
 
 
 def _character_sort_key(rho: PartialCharacter):
@@ -353,8 +354,9 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
     and every system of the next level has the same supports.  So
     ``zfactor`` and the tracked completion run once per level, and each
     root choice only runs ``_with_constants``: the constants of the
-    basis columns, then properness over the basis.  Children with equal
-    constants are one character.
+    basis columns, then properness over the basis.  A child restricts to
+    its parent and takes the chosen root on each witness, so no two
+    children are equal.
 
     A level with more than ``_MAX_ROOT_CHOICES`` root choices raises
     RuntimeError before any root is listed: a witness order k can be a
@@ -376,16 +378,16 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
                 % (choices, _MAX_ROOT_CHOICES)
             )
         part = _tracked_kernel(list(basis.columns) + [w.h for w in wits], start.n)
-        children = {}
+        children = []
         for rho in level:
             root_lists = [kth_roots(_apply(w.e, rho.constants, sigma), w.k) for w in wits]
             for choice in itertools.product(*root_lists):
                 child = _with_constants(part, rho.constants + choice, sigma)
                 if not is_unit(child):
-                    children.setdefault(child.constants, child)
+                    children.append(child)
         if not children:
             return []
-        level = list(children.values())
+        level = children
     return sorted(level, key=_character_sort_key)
 
 

@@ -3,15 +3,16 @@
 Each kind has a witness function whose list is empty iff the lattice is
 saturated of that kind: ``xfactor`` finds h with x*h in the lattice from
 the integer kernel of the constant terms, ``zfactor`` finds h with m*h
-in the lattice by working over Z_m[x], and ``mfactor``
-returns (x - 1)*g, or (x + 1)*g under conj, for the Z-saturation
-columns g outside the lattice.  The x-, Z- and full saturations loop,
-adjoining the witnesses of the first kind that has any until none has;
-each witness lies in every saturated lattice containing the current one.
-M-saturation takes one round, and P-saturation one after sat_x.  The
-M step needs no multipliers: it shifts every column of sat_Z(L) by
-x - eps (``m_shift``).  ``sat_z`` reads each column's least multiplier
-into the input off the input's GHNF (``_multiplier``).
+in the lattice by working over Z_m[x], and ``mfactor`` returns
+(x - 1)*g, or (x + 1)*g under conj, for the Z-saturation columns g
+outside the lattice.  The x- and Z-saturations loop, adjoining the
+witnesses of their kind until there are none; each witness lies in every
+saturated lattice containing the current one.  The full saturation is
+the Z loop after sat_x, M-saturation takes one round, and P-saturation
+one after sat_x.  The M step needs no multipliers: it shifts every
+column of sat_Z(L) by x - eps (``m_shift``).  ``sat_z`` reads each
+column's least multiplier into the input off the input's GHNF
+(``_multiplier``).
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
@@ -240,24 +241,19 @@ def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:
     return [h for h in (shift * g for g in cols) if grem(h, basis)]
 
 
-def _witnesses(basis: GhnfBasis, kinds: str, sigma: SigmaConfig | None) -> list[LatVec]:
-    """The witness vectors of the first of these kinds that has any."""
-    for kind in kinds:
-        if kind == "x":
-            hs = [w.h for w in xfactor(basis)]
-        elif kind == "z":
-            hs = [w.h for w in zfactor(basis)]
-        else:
-            hs = mfactor(basis, sigma)
-        if hs:
-            return hs
-    return []
+def _witnesses(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None) -> list[LatVec]:
+    """The witness vectors of one kind: x, z or m."""
+    if kind == "x":
+        return [w.h for w in xfactor(basis)]
+    if kind == "z":
+        return [w.h for w in zfactor(basis)]
+    return mfactor(basis, sigma)
 
 
-def _saturate(gens, n: int | None, kinds: str):
-    """The least lattice containing gens with no witnesses of these kinds."""
+def _saturate(gens, n: int | None, kind: str):
+    """The least lattice containing gens with no witnesses of this kind."""
     basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    while hs := _witnesses(basis, kinds, None):
+    while hs := _witnesses(basis, kind, None):
         basis = ghnf(list(basis.columns) + hs, basis.n)
     return basis
 
@@ -278,9 +274,10 @@ def sat_p(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
 
 
 def sat_full(gens, n: int | None = None) -> GhnfBasis:
-    """The full saturation {f | a x^k f in L}: least lattice that is both
-    x- and Z-saturated."""
-    return _saturate(gens, n, "xz")
+    """The full saturation {f | a x^k f in L}, sat_Z(sat_x(L)).  If L is
+    x-saturated, so is sat_Z(L): if x*h lies in sat_Z(L), x*(a*h) lies in
+    L for some a >= 1, so a*h lies in L, and h in sat_Z(L)."""
+    return _saturate(sat_x(gens, n), None, "z")
 
 
 def is_saturated(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None = None) -> bool:
@@ -295,4 +292,4 @@ def is_saturated(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None = None) 
         raise ValueError("unknown saturation kind %r" % kind)
     if "m" in kinds and sigma is None:
         raise ValueError("M-saturation needs a sigma configuration")
-    return not _witnesses(basis, kinds, sigma)
+    return not any(_witnesses(basis, k, sigma) for k in kinds)

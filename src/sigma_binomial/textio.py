@@ -105,7 +105,7 @@ def _term_to_parts(term: str) -> tuple[FieldConst, dict[int, IntPoly]]:
             idx = int(m.group(1)) - 1
             if idx < 0:
                 raise ValueError("variable index must start at 1: %r" % f)
-            e = poly_from_str(m.group(2)) if m.group(2) else IntPoly.const(1)
+            e = IntPoly.const(1) if m.group(2) is None else poly_from_str(m.group(2))
             exps[idx] = exps.get(idx, IntPoly()) + e
             continue
         coeff_parts.append(f)

@@ -162,6 +162,8 @@ def test_parse_error_exit_2():
     assert code == 2
     code, _ = call(["dimension"], "y1^(2) - 4\n")
     assert code == 2  # proper but not reflexive prime
+    code, _ = call(["charset"], "y1^() - 1\n")
+    assert code == 2  # an empty exponent is not an omitted one
 
 
 def test_determinism():
@@ -174,7 +176,8 @@ def test_determinism():
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("completion did not stabilize"),
-                                 AssertionError("multiplier certificate violated")])
+                                 AssertionError("multiplier certificate violated"),
+                                 MemoryError()])
 def test_internal_failure_exit_3(monkeypatch, capsys, exc):
     import sigma_binomial.zx_lattice as zx
 

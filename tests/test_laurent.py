@@ -15,8 +15,11 @@ from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.saturation import is_saturated
 from sigma_binomial.zx_lattice import LatVec, ghnf, ghnf_kernel, gker, lattice_equal
 from sigma_binomial.laurent import (
+    UNIT,
     LaurentBinomial,
     _apply,
+    _reflexive_forced,
+    _wellmixed_forced,
     NotABinomial,
     NotReflexivePrime,
     dec_laurent,
@@ -254,6 +257,74 @@ def test_predicates_agree_with_closures():
     assert all(0 < count < proper for count in held), (held, proper)
 
 
+def _close_to_fixpoint(binomials, sigma, n, *steps):
+    """The closures as a fixpoint: adjoin the forced binomials of the first
+    step that has any, until none has; UNIT as soon as the ideal is
+    improper."""
+    rho = make_character(binomials, sigma, n)
+    while not is_unit(rho):
+        for step in steps:
+            forced = step(rho)
+            if forced:
+                break
+        else:
+            return rho
+        rho = make_character(list(rho.binomials) + forced, sigma, rho.n)
+    return UNIT
+
+
+@pytest.mark.parametrize(
+    "family",
+    [{}, dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)],
+    ids=["default", "larger"],
+)
+def test_closures_match_the_fixpoint_loop(family):
+    """One well-mixed round gives the well-mixed and perfect closures that
+    adjoining forced binomials until none is left gives, under both
+    sigma."""
+    changed = 0
+    for n, system, _ in laurent_systems(**family):
+        for sigma in (ID, CONJ):
+            wm = wellmixed_closure(system, sigma, n)
+            assert wm == _close_to_fixpoint(system, sigma, n, _wellmixed_forced), system
+            pf = perfect_closure(system, sigma, n)
+            assert pf == _close_to_fixpoint(
+                system, sigma, n, _reflexive_forced, _wellmixed_forced), system
+            changed += wm != make_character(system, sigma, n)
+    assert changed
+
+
+def test_closure_of_a_proper_ideal_calls_sat_z_once(monkeypatch):
+    """The well-mixed and perfect closures take sat_Z once, in their one
+    well-mixed round: no second round checks that nothing more is
+    forced."""
+    import sigma_binomial.laurent as laurent_mod
+
+    calls = []
+    original = laurent_mod.saturation.sat_z
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(laurent_mod.saturation, "sat_z", counted)
+    forced = 0
+    for n, system, _ in laurent_systems():
+        for sigma in (ID, CONJ):
+            rho = make_character(system, sigma, n)
+            if is_unit(rho):
+                continue
+            calls.clear()
+            # where the round adjoins something, the fixpoint loop took
+            # sat_Z a second time to check the result
+            forced += wellmixed_closure(system, sigma, n) != rho
+            assert len(calls) == 1, ("well-mixed", sigma, system)
+            calls.clear()
+            perfect_closure(system, sigma, n)
+            assert len(calls) == 1, ("perfect", sigma, system)
+    assert forced
+
+
 def test_wellmixed_root_independence(monkeypatch):
     """The well-mixed and perfect closures do not depend on which q-th
     root the well-mixed step takes: with each principal root turned by
@@ -405,6 +476,7 @@ def _check_decomposition(n, system, sigma, rng):
     assert len(set(comps)) == len(comps), system
     if not comps:
         return 0, 0
+    assert is_perfect(closure), system
     agreeing = 0
     for b in closure.binomials:
         assert all(member(b, rho) for rho in comps), (system, str(b))

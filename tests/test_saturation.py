@@ -549,6 +549,10 @@ def test_saturation_closure_properties(lattice):
         assert all(contains(larger, c) for c in s.columns), kind
     tracked = sat_z(sat_z(gens, n).basis)
     assert all(m == 1 for m in tracked.multipliers)
+    # sat_full runs the Z loop once, after sat_x: its Z rounds must keep
+    # the lattice x-saturated
+    full = sat_full(gens, n)
+    assert is_saturated(full, "x") and is_saturated(full, "z")
 
 
 @settings(max_examples=100, deadline=timedelta(seconds=2))
