@@ -196,7 +196,7 @@ def run(argv) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError, MemoryError) as exc:
-        print("error: internal failure: %s" % exc, file=sys.stderr)
+        print("error: internal failure: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 3
     try:
         print(json.dumps(form) if args.json else form)

@@ -7,20 +7,23 @@ in the lattice by working over Z_m[x], and ``mfactor`` returns
 (x - 1)*g, or (x + 1)*g under conj, for the Z-saturation columns g
 outside the lattice.  The x- and Z-saturations loop, adjoining the
 witnesses of their kind until there are none; each witness lies in every
-saturated lattice containing the current one.  The full saturation is
-the Z loop after sat_x, M-saturation takes one round, and P-saturation
-one after sat_x.  The M step needs no multipliers: it shifts every
-column of sat_Z(L) by x - eps (``m_shift``).  ``sat_z`` reads each
-column's least multiplier into the input off the input's GHNF
-(``_multiplier``).
+saturated lattice containing the current one.  The Z loop runs no round
+when the blocks' pivot rows are 1, ..., k and each block starts at
+degree 0 (``_saturate``).  The full saturation is the Z loop after
+sat_x, M-saturation takes one round, and P-saturation one after sat_x.
+The M step needs no multipliers: it shifts every column of sat_Z(L) by
+x - eps (``m_shift``).  ``sat_z`` reads each column's least multiplier
+into the input off the input's GHNF (``_multiplier``).
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
-of the blocks' first leading coefficients.  The primes below 1000 are
-tested one by one over Z_p[x], then the cofactor r of q over Z_r[x],
-whether r is prime or not.  Over Z_m[x], ZFactor reads the kernel of all
-the columns mod m off one HNF; each kernel vector e gives a candidate
-h = (sum e_l * column_l) / m.  This kernel finds all m-torsion (see
+of the contents of the blocks' first columns' pivot-row entries
+(``torsion_bound``), which divides the product of the blocks' first
+leading coefficients.  The primes below 1000 are tested one by one over
+Z_p[x], then the cofactor r of q over Z_r[x], whether r is prime or
+not.  Over Z_m[x], ZFactor reads the kernel of all the columns mod m off
+one HNF; each kernel vector e gives a candidate h = (sum e_l *
+column_l) / m.  This kernel finds all m-torsion (see
 ``_zfactor_prime``), which Example 7.5, step 3.4, finds in three steps
 from the blocks' last columns and C_-.  A composite m is treated as a
 prime and split where a leading coefficient is not a unit (the D5
@@ -157,21 +160,24 @@ def _zfactor_prime(basis: GhnfBasis, m: int) -> list[SatWitnessZ]:
 
 
 def torsion_bound(basis: GhnfBasis) -> int:
-    """q, the product of the blocks' first leading coefficients: q*h lies
-    in L for every h in sat_Z(L).
+    """q, the product of the a_i: q*h lies in L for every h in sat_Z(L).
+    a_i is the content of the pivot-row entry of block i's first column,
+    so q divides the product of the blocks' first leading coefficients.
 
     By induction on the top row i of h.  Let f_i be the primitive
     generator of the row-i entries of L's vectors with top row i, over
-    Q[x]; the first column g of block i has the least degree among them,
-    so its row-i entry is a multiple of f_i, and c_i*f_i is the row-i
-    entry of lc(f_i)*g in L, c_i the block's first leading coefficient.
-    Some a*h lies in L, so the row-i entry of h lies in f_i*Q[x], hence in
-    f_i*Z[x] by Gauss's lemma, say u*f_i.  Then c_i*h - u*lc(f_i)*g lies
-    in sat_Z(L) and is zero from row i upward, so the product of the
-    lower blocks' c_j times it lies in L.  A row with no block has no
-    entries of L with top row there, so h has none either.
+    Q[x], with lc(f_i) > 0; the first column g of block i has the least
+    degree among them, so its row-i entry is a multiple of f_i of the
+    same degree, and by Gauss's lemma it is a_i*f_i, with
+    c_i = a_i*lc(f_i) the block's first leading coefficient.  Some b*h
+    lies in L, so the row-i entry of h lies in f_i*Q[x], hence in
+    f_i*Z[x] by Gauss's lemma, say u*f_i.  Then a_i*h - u*g lies in
+    sat_Z(L) and is zero from row i upward, so the product of the lower
+    blocks' a_j times it lies in L.  As u*g lies in L, the product of the
+    a_j, j <= i, times h does too.  A row with no block has no entries of
+    L with top row there, so h has none either.
     """
-    return prod(b.leading_coeffs[0] for b in basis.blocks)
+    return prod(gcd(*basis.columns[b.start].entries[b.pivot_row - 1].coeffs) for b in basis.blocks)
 
 
 def zfactor(basis: GhnfBasis) -> list[SatWitnessZ]:
@@ -202,8 +208,10 @@ def _multiplier(g: LatVec, basis: GhnfBasis) -> int:
     over Z (Kandri-Rody and Kapur, JSC 1988) whose blocks' leading
     coefficients form divisibility chains, so c_L divides k*c, and
     c_L/gcd(c, c_L) divides k.  As 0 < c < c_L, each factor is > 1, and
-    the loop ends within log2(``torsion_bound(L)``) steps, without
-    factoring.
+    m divides D, which divides ``torsion_bound(L)``, so the loop ends
+    within log2 of that bound steps, without factoring.  The bound is
+    the product of the contents a_i, not of the blocks' first leading
+    coefficients, so it is sharper where the f_i are not monic.
     """
     m = 1
     while r := grem(m * g, basis):
@@ -251,8 +259,24 @@ def _witnesses(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None) -> list[L
 
 
 def _saturate(gens, n: int | None, kind: str):
-    """The least lattice containing gens with no witnesses of this kind."""
+    """The least lattice containing gens with no witnesses of this kind.
+
+    The Z loop needs no witness round when the blocks' pivot rows are
+    exactly 1, ..., k and every block's first degree is 0.  Then L lies
+    in Z[x]^k x 0, which is Z-saturated, as no vector of L has its top
+    row past k.  Each f_i of ``torsion_bound`` has degree 0, so f_i = 1,
+    and block i's first column g_i is a_i*e_i plus entries in rows below
+    i.  By induction on i, d_i*e_i lies in L, d_i = a_1*...*a_i:
+    d_(i-1)*g_i less the multiples of the d_j*e_j, j < i, that clear its
+    rows below i is d_i*e_i.  So sat_Z(L) = Z[x]^k x 0, whose GHNF is
+    e_1, ..., e_k.  Both conditions are needed: sat_Z((2x - 4)) is
+    (x - 2), and (x, 2) in Z[x]^2, with its block in row 2, is
+    Z-saturated.
+    """
     basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
+    if kind == "z" and all(b.pivot_row == i and b.degrees[0] == 0
+                           for i, b in enumerate(basis.blocks, 1)):
+        return GhnfBasis(basis.n, [LatVec.unit(basis.n, i) for i in range(len(basis.blocks))])
     while hs := _witnesses(basis, kind, None):
         basis = ghnf(list(basis.columns) + hs, basis.n)
     return basis

@@ -188,7 +188,8 @@ def test_internal_failure_exit_3(monkeypatch, capsys, exc):
     code, out = call(["dec-laurent"], SYS_716)
     assert code == 3 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert err.startswith("error: internal failure: ") and len(err.splitlines()) == 1
+    assert err[len("error: internal failure: "):].strip(), err
 
 
 def test_exhausted_budget_exit_3(monkeypatch, capsys):

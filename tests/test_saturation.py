@@ -229,15 +229,76 @@ def test_m_step_needs_no_tracked_completion(monkeypatch):
 
 
 def _check_torsion_bound(basis):
-    """q*g lies in L for every column g of sat_Z(L); whether L has torsion."""
+    """q*g lies in L for every column g of sat_Z(L), and q divides the
+    product of the blocks' first leading coefficients; whether L has
+    torsion."""
     q, cols = torsion_bound(basis), sat_z(basis).basis.columns
     assert all(contains(basis, q * g) for g in cols), (basis, q)
+    assert q >= 1 and math.prod(b.leading_coeffs[0] for b in basis.blocks) % q == 0, (basis, q)
     return cols != basis.columns
 
 
 def test_torsion_bound_on_the_saturation_family():
     torsion = sum(_check_torsion_bound(ghnf(gens, n)) for n, gens, _ in saturation_systems())
     assert 0 < torsion < 200, torsion
+
+
+def _z_loop(gens, n):
+    """The Z loop without the degree-0 case: adjoin the ZFactor witnesses
+    of the first modulus that has any, the primes below 1000 dividing the
+    product of the blocks' first leading coefficients, then its cofactor,
+    until no modulus has any."""
+    basis = ghnf(gens, n)
+    while True:
+        small, r = _trial_divide(math.prod(b.leading_coeffs[0] for b in basis.blocks))
+        moduli = small + ([r] if r > 1 else [])
+        wits = next((w for m in moduli if (w := _zfactor_prime(basis, m))), [])
+        if not wits:
+            return basis
+        basis = ghnf(list(basis.columns) + [w.h for w in wits], n)
+
+
+def test_sat_z_matches_the_witness_loop():
+    # on the criterion-9 family, sat_z and sat_full equal the witness loop,
+    # also where every block starts at degree 0 and no witness round runs
+    degree_0 = 0
+    for n, gens, _ in saturation_systems():
+        basis, expected = ghnf(gens, n), _z_loop(gens, n)
+        assert sat_z(gens, n).basis == expected, gens
+        assert sat_full(gens, n) == _z_loop(list(sat_x(gens, n).columns), n), gens
+        starts = [(b.pivot_row, b.degrees[0]) for b in basis.blocks]
+        degree_0 += starts == [(i, 0) for i in range(1, len(starts) + 1)] and expected != basis
+    assert 0 < degree_0 < 200, degree_0
+
+
+@pytest.mark.parametrize("gens, n, columns, multipliers", [
+    # Example 5.22's support lattice: blocks in rows 1, 2, both at degree 0
+    ([V("2", "0"), V("x-1", "0"), V("0", "2"), V("0", "x-1")], 2,
+     [V("1", "0"), V("0", "1")], (2, 2)),
+    # the torsion bound is the content 1, not the leading coefficient 6
+    ([V("6*x+1")], 1, [V("6*x+1")], (1,)),
+])
+def test_sat_z_without_zfactor_prime(monkeypatch, gens, n, columns, multipliers):
+    calls, real = [], saturation._zfactor_prime
+    monkeypatch.setattr(saturation, "_zfactor_prime", lambda basis, m: calls.append(m) or real(basis, m))
+    tracked = sat_z(ghnf(gens, n))
+    assert tracked.basis.columns == tuple(columns)
+    assert tracked.multipliers == multipliers
+    assert calls == []
+
+
+@pytest.mark.parametrize("gens, n, columns, multipliers", [
+    # degree 1: sat_Z(2x - 4) = (x - 2), not (1)
+    ([V("2*x-4")], 1, [V("x-2")], (2,)),
+    # pivot row 2 only: row 1 holds no vector of sat_Z with top row 1
+    ([V("0", "2")], 2, [V("0", "1")], (2,)),
+    ([V("x", "2")], 2, [V("x", "2")], (1,)),
+])
+def test_degree_0_case_needs_both_conditions(gens, n, columns, multipliers):
+    tracked = sat_z(gens, n)
+    assert tracked.basis.columns == tuple(columns)
+    assert tracked.multipliers == multipliers
+    assert tracked.basis == _z_loop(gens, n)
 
 
 def test_is_saturated_kinds():
@@ -560,3 +621,10 @@ def test_saturation_closure_properties(lattice):
 def test_torsion_bound_kills_sat_z(lattice):
     n, gens, _ = lattice
     _check_torsion_bound(ghnf(gens, n))
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(lattices_and_vector())
+def test_sat_z_matches_the_witness_loop_randomized(lattice):
+    n, gens, _ = lattice
+    assert sat_z(gens, n).basis == _z_loop(gens, n)
