@@ -29,7 +29,6 @@ from .zx_lattice import (
     contains,
     enumerate_c,
     ghnf,
-    ghnf_kernel,
     ghnf_track,
     gker,
     grem,

@@ -80,9 +80,6 @@ class FieldConst:
     def is_one(self) -> bool:
         return not self.factors and self.turn == 0
 
-    def __bool__(self) -> bool:
-        return True
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldConst)

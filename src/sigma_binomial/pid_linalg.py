@@ -172,8 +172,6 @@ def ker_int(columns) -> list[list[int]]:
 
 def int_lattice_contains(columns, v) -> bool:
     """Whether integer vector v lies in the Z-span of the given columns."""
-    if not columns:
-        return not any(v)
     h, _ = _hnf_int(columns, want_u=False)
     r = list(v)
     for j in range(len(h) - 1, -1, -1):

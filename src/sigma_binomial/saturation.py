@@ -94,16 +94,12 @@ class TrackedBasis:
 def xfactor(basis: GhnfBasis) -> list[SatWitnessX]:
     """Witnesses against x-saturation; empty iff the lattice is x-saturated."""
     cols = basis.columns
-    if not cols:
-        return []
     out = []
     for e in pid_linalg.ker_int([c.constant_column() for c in cols]):
         v = LatVec.zero(basis.n)
         for coeff, col in zip(e, cols):
             if coeff:
                 v = v + coeff * col
-        if not v:
-            continue
         h = v.shift(-1)
         if grem(h, basis):
             out.append(SatWitnessX(h, tuple(e)))

@@ -125,25 +125,15 @@ def binomial_terms(text: str) -> list[tuple[FieldConst, dict[int, IntPoly]]]:
     s = re.sub(r"\s+", "", text)
     parts = _split_top(s, "+-")
     terms = []
-    pending = 1
-    have_sep = False
-    for k, piece in enumerate(parts):
-        if piece == "+" or piece == "-":
-            if have_sep:
-                raise ValueError("repeated sign in %r" % text)
-            pending = 1 if piece == "+" else -1
-            have_sep = True
-            continue
-        if piece == "":
-            if k == 0:
-                continue
+    # pieces sit at even indices, each after its sign; an empty piece
+    # past the first is a sign with no term, repeated or trailing
+    for k in range(0, len(parts), 2):
+        if parts[k]:
+            coeff, exps = _term_to_parts(parts[k])
+            negative = k and parts[k - 1] == "-"
+            terms.append((coeff * FieldConst.root_of_unity(2) if negative else coeff, exps))
+        elif k:
             raise ValueError("dangling sign in %r" % text)
-        coeff, exps = _term_to_parts(piece)
-        terms.append((coeff if pending > 0 else coeff * FieldConst.root_of_unity(2), exps))
-        pending = 1
-        have_sep = False
-    if have_sep:
-        raise ValueError("dangling sign in %r" % text)
     return terms
 
 

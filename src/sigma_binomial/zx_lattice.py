@@ -17,8 +17,8 @@ are the relations: each S-vector's quotients, with the multipliers of
 its pair, give a Schreyer syzygy of the basis, and each input's give
 the input over the basis.  ``_tracked_kernel`` returns them as they
 are, over the basis, which is all the constants of a Laurent system
-need; ``ghnf_kernel`` (so ``gker``) lifts them through the basis
-columns' expressions to the Z[x]-relations among the inputs.
+need; ``gker`` lifts them through the basis columns' expressions to
+the Z[x]-relations among the inputs.
 
 Two reduction conventions coexist on purpose:
 
@@ -55,7 +55,6 @@ __all__ = [
     "s_vector",
     "ghnf",
     "ghnf_track",
-    "ghnf_kernel",
     "verify_ghnf",
     "gker",
     "enumerate_c",
@@ -144,9 +143,6 @@ class LatVec:
     def exact_div(self, d: int) -> "LatVec":
         return LatVec(a.exact_div(d) for a in self.entries)
 
-    def coeff(self, row: int, deg: int) -> int:
-        return self.entries[row].coeff(deg)
-
     def constant_column(self) -> tuple[int, ...]:
         return tuple(a.coeff(0) for a in self.entries)
 
@@ -223,9 +219,6 @@ class GhnfBasis:
     @property
     def rank(self) -> int:
         return len(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
     def __eq__(self, other) -> bool:
         return (
@@ -643,29 +636,6 @@ def _tracked_kernel(gens: list[LatVec], n: int | None = None):
     return GhnfBasis(n, [it.vec for it in basis]), exprs, quotients, syzygies, zeros
 
 
-def ghnf_kernel(
-    gens: Sequence[LatVec], n: int | None = None
-) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...], list[LatVec]]:
-    """ghnf_track plus generators of the Z[x]-relations among gens, in
-    Z[x]^len(gens): the relations of ``_tracked_kernel`` lifted through
-    the basis columns' expressions.  In order: e_l for each zero input
-    l, the lifted Schreyer syzygies, then e_l minus the lifted quotients
-    for each nonzero input l.  Zero relations are dropped, duplicates
-    are not.
-    """
-    gens = list(gens)
-    basis, exprs, quotients, syzygies, zeros = _tracked_kernel(gens, n)
-    s = len(gens)
-
-    def lift(coords) -> LatVec:
-        return sum((LatVec(e) * q for q, e in zip(coords, exprs) if q), LatVec.zero(s))
-
-    nonzero = [l for l, g in enumerate(gens) if g]
-    relations = [LatVec.unit(s, l) for l in zeros] + [lift(syz) for syz in syzygies]
-    relations += [LatVec.unit(s, l) - lift(qs) for l, qs in zip(nonzero, quotients)]
-    return basis, exprs, [v for v in relations if v]
-
-
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:
     """Check the four generalized-Hermite-normal-form conditions.
 
@@ -722,12 +692,23 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:
     """Generators of {X in Z[x]^s | M X = 0} for the matrix with these columns.
 
-    They are the relations of ``ghnf_kernel``: unit vectors for zero
-    columns, then the relations read off the certificate of one tracked
-    completion of the nonzero columns.  Exact duplicates are dropped,
-    the order is kept.
+    They are the relations of one tracked completion of the columns
+    (``_tracked_kernel``), lifted through the basis columns' expressions.
+    In order: e_l for each zero column l, the lifted Schreyer syzygies,
+    then e_l minus the lifted quotients for each nonzero column l.  Zero
+    relations and exact duplicates are dropped, the order is kept.
     """
-    return list(dict.fromkeys(ghnf_kernel(columns)[2]))
+    columns = list(columns)
+    _, exprs, quotients, syzygies, zeros = _tracked_kernel(columns)
+    s = len(columns)
+
+    def lift(coords) -> LatVec:
+        return sum((LatVec(e) * q for q, e in zip(coords, exprs) if q), LatVec.zero(s))
+
+    nonzero = [l for l, g in enumerate(columns) if g]
+    relations = [LatVec.unit(s, l) for l in zeros] + [lift(syz) for syz in syzygies]
+    relations += [LatVec.unit(s, l) - lift(qs) for l, qs in zip(nonzero, quotients)]
+    return list(dict.fromkeys(v for v in relations if v))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str
 from sigma_binomial.polyzx import IntPoly
-from sigma_binomial.zx_lattice import LatVec, lattice_equal
+from sigma_binomial.zx_lattice import DimensionError, LatVec, lattice_equal
 from sigma_binomial.laurent import LaurentBinomial, NotABinomial, is_prime, is_reflexive
 from sigma_binomial.binomial import (
     Component,
@@ -75,6 +75,13 @@ def test_conversion_roundtrip_randomized():
 def test_parser_rejects_common_factor():
     with pytest.raises(ValueError):
         B("y1^(2) - y1", 1)
+
+
+def test_dec_binomial_rejects_empty_and_mixed_systems():
+    with pytest.raises(ValueError):
+        dec_binomial([], ID)  # no binomial to read the dimension from
+    with pytest.raises(DimensionError):
+        dec_binomial([B("y1 - 1", 1), B("y2 - 1", 2)], ID)
 
 
 def test_dec_mono_examples():

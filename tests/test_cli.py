@@ -164,6 +164,20 @@ def test_parse_error_exit_2():
     assert code == 2  # proper but not reflexive prime
     code, _ = call(["charset"], "y1^() - 1\n")
     assert code == 2  # an empty exponent is not an omitted one
+    for line in ("y1^(x - 1", "y1) - 1", "y0 - 1", "y1 - - 1", "y1 -", "y1 + y2 + 1",
+                 "y1 - 1^(1/2)", "y1 - zeta(0)", "y1^(1--2) - 1"):
+        assert call(["charset"], line + "\n") == (2, ""), line
+    for line in ("y1 - y1", "y1 + y2 + 1", "2"):
+        assert call(["dec-binomial"], line + "\n") == (2, ""), line
+
+
+def test_leading_sign():
+    assert call(["charset"], "-y1 + 2\n") == (0, "y1 - 2\n")
+
+
+def test_kernel_json():
+    code, out = call(["kernel", "--json"], "2\n3\n")
+    assert code == 0 and json.loads(out) == {"generators": [["3", "-2"]]}
 
 
 def test_determinism():
@@ -394,3 +408,19 @@ def test_full_device_exit_2():
                               text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
+def test_module_entry_matches_run():
+    """``python -m sigma_binomial.cli`` prints what ``run`` prints and exits with its code."""
+    src = os.path.dirname(os.path.dirname(sigma_binomial.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(args, inp):
+        proc = subprocess.run([sys.executable, "-m", "sigma_binomial.cli", *args], input=inp,
+                              capture_output=True, text=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout
+
+    expected = call(["dec-laurent"], SYS_716)
+    assert expected[0] == 0
+    assert module(["dec-laurent"], SYS_716) == expected
+    assert module(["dimension"], "y1^(2) - 4\n") == (2, "")

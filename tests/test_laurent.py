@@ -13,7 +13,7 @@ from conftest import V, laurent_systems, rand_vec
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.saturation import is_saturated
-from sigma_binomial.zx_lattice import LatVec, ghnf, ghnf_kernel, gker, lattice_equal
+from sigma_binomial.zx_lattice import DimensionError, LatVec, ghnf, gker, lattice_equal
 from sigma_binomial.laurent import (
     UNIT,
     LaurentBinomial,
@@ -109,6 +109,27 @@ def test_member_and_prem():
     outside = L("y3 - 5", 3)
     r2 = prem_binomial(outside, rho)
     assert r2.support
+
+
+def test_make_character_rejects_empty_and_mixed_systems():
+    with pytest.raises(ValueError):
+        make_character([], ID)  # no binomial to read the dimension from
+    with pytest.raises(DimensionError):
+        make_character([L("y1 - 1", 1), L("y2 - 1", 2)], ID)
+    with pytest.raises(DimensionError):
+        make_character([L("y1 - 1", 1)], ID, 2)
+
+
+def test_member_of_a_zero_support():
+    """Y^0 - c lies in a proper ideal exactly when c = 1; a zero support
+    of another dimension is an error, as a nonzero one is."""
+    sys716, n = parse_laurent_system(SYS_716)
+    for sigma in (ID, CONJ):
+        rho = make_character(sys716, sigma, n)
+        assert member(LaurentBinomial(LatVec.zero(n), FieldConst.one()), rho)
+        assert not member(LaurentBinomial(LatVec.zero(n), const_from_str("2")), rho)
+        with pytest.raises(DimensionError):
+            member(LaurentBinomial(LatVec.zero(n + 1), FieldConst.one()), rho)
 
 
 def test_prem_delta_of_coherent_pair():
@@ -588,11 +609,11 @@ def test_apply_is_the_pow_zx_product(pairs, sigma, cancel):
 def test_properness_against_lifted_relations(family):
     """make_character, which tests properness over the basis, returns UNIT
     exactly when some Z[x]-relation among the supports, lifted by
-    ghnf_kernel, sends the constants to something other than 1."""
+    gker, sends the constants to something other than 1."""
     outcomes = set()
     for n, system, sigma in laurent_systems(**family):
         consts = [b.constant for b in system]
-        relations = ghnf_kernel([b.support for b in system], n)[2]
+        relations = gker([b.support for b in system])
         improper = any(
             not _reference_product(rel.entries, consts, sigma).is_one() for rel in relations
         )

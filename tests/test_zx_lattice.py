@@ -63,6 +63,13 @@ def test_grem_examples():
         grem(V("1", "0"), basis)
 
 
+def test_ghnf_rejects_mixed_dimensions():
+    with pytest.raises(DimensionError):
+        ghnf([V("1"), V("1", "x")])
+    with pytest.raises(DimensionError):
+        ghnf([V("1", "x")], 1)
+
+
 def test_s_vector_cases():
     # pivot rows differ -> zero
     assert not s_vector(V("x", "0"), V("0", "x"))
