@@ -43,7 +43,7 @@ MATRIX, LAURENT, CHARACTER, PLAIN = "matrix", "laurent", "character", "plain"
 COMMANDS = {
     "ghnf": ("generalized Hermite normal form of a matrix", MATRIX,
              lambda x, n, sigma, args: zx_lattice.ghnf(x, n)),
-    "kernel": ("generators of the Z[x]-kernel of a matrix", MATRIX,
+    "kernel": ("GHNF of the Z[x]-kernel of a matrix", MATRIX,
                lambda x, n, sigma, args: zx_lattice.gker(x)),
     "satx": ("x-saturation of a lattice", MATRIX,
              lambda x, n, sigma, args: saturation.sat_x(x, n)),

@@ -172,32 +172,27 @@ def _with_constants(part, consts, sigma: SigmaConfig):
     """The character with these constants on the supports of
     ``part = _tracked_kernel(supports)``, or UNIT.
 
-    Properness is read over the basis, without lifting: as ``pow_zx``
-    is Z[x]-linear in the exponent, every relation among the supports
-    sends the constants to 1 exactly when each zero support has constant
-    1, each Schreyer syzygy sends the column constants d_k = rho(expr_k)
-    to 1, and each nonzero support's constant is the d_k to its quotients.
+    ``part`` is (basis, exprs, kernel).  As ``pow_zx`` is Z[x]-linear in
+    the exponent, every relation among the supports sends the constants
+    to 1 exactly when each kernel generator does; a zero support's
+    relation is e_l, so its constant must be 1.  The constant of basis
+    column k is then the constants to expr_k.
     """
-    basis, exprs, quotients, syzygies, zeros = part
-    if not all(consts[l].is_one() for l in zeros):
+    basis, exprs, kernel = part
+    if any(not _apply(k.entries, consts, sigma).is_one() for k in kernel):
         return UNIT
-    ds = tuple(_apply(expr, consts, sigma) for expr in exprs)
-    if any(not _apply(syz, ds, sigma).is_one() for syz in syzygies):
-        return UNIT
-    nonzero = (c for l, c in enumerate(consts) if l not in zeros)
-    if any(_apply(qs, ds, sigma) != c for qs, c in zip(quotients, nonzero)):
-        return UNIT
-    return PartialCharacter(basis.n, sigma, basis, ds)
+    return PartialCharacter(basis.n, sigma, basis, tuple(_apply(e, consts, sigma) for e in exprs))
 
 
 def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     """Present [binomials] by a partial character, or UNIT if improper.
 
     The ideal is proper exactly when every Z[x]-relation of the supports
-    sends the constants to 1.  The character's basis is the GHNF of the
-    supports, from one tracked completion (``_tracked_kernel``), with
-    constants pushed through the change of generators; properness is
-    tested over the basis (``_with_constants``).  The support part does
+    sends the constants to 1.  One completion of the supports stacked
+    under unit vectors (``_tracked_kernel``) gives their GHNF, each
+    column's expression over the supports, and the GHNF of their
+    relations; the constants go through the expressions and properness
+    is tested on the relations (``_with_constants``).  The support part does
     not depend on the constants, so ``dec_laurent`` builds it once per
     level and runs only the constant part per system.
     """
@@ -338,9 +333,10 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
     reflexive closure.  Branches differ only in their constants: every
     character on a level has the same basis, hence the same witnesses,
     and every system of the next level has the same supports.  So
-    ``zfactor`` and the tracked completion run once per level, and each
-    root choice only runs ``_with_constants``: the constants of the
-    basis columns, then properness over the basis.  A child restricts to
+    ``zfactor`` and the completion of the stacked supports
+    (``_tracked_kernel``) run once per level, and each root choice only
+    runs ``_with_constants``: properness on the relations, then the
+    constants of the basis columns.  A child restricts to
     its parent and takes the chosen root on each witness, so no two
     children are equal.
 

@@ -30,7 +30,7 @@ def _pivot_row(col) -> int:
     return -1
 
 
-def _hnf(columns, want_u, zero, one, size, near, unit, start=None, spent=None):
+def _hnf(columns, want_u, zero, one, size, near, unit, spent=None):
     """Column HNF with transformation over a Euclidean domain: (H, U), A*U = H.
 
     U is invertible.  Zero columns of H come first; pivot columns follow
@@ -46,23 +46,15 @@ def _hnf(columns, want_u, zero, one, size, near, unit, start=None, spent=None):
     swelling.  U is only built when ``want_u`` is set; otherwise it comes
     back as an empty list.
 
-    ``start``, one column per input column, is the transform U starts
-    from instead of the identity: when the columns are A0*start for some
-    earlier matrix A0, the returned U satisfies A0*U = H.  This is how an
-    HNF is extended by new columns without redoing it: the previous H,
-    its transform, and unit columns for the new inputs.
-
     ``spent``, a one-item list, gains the number of entries updates rewrite.
     """
     s = len(columns)
     n = len(columns[0]) if columns else 0
     work = [list(c) for c in columns]
-    if not want_u:
-        u = []
-    elif start is None:
+    if want_u:
         u = [[one if i == j else zero for i in range(s)] for j in range(s)]
     else:
-        u = [list(c) for c in start]
+        u = []
 
     def nonzeros(vec, stop=None):
         return [(k, c) for k, c in enumerate(vec[:stop]) if c]
@@ -138,18 +130,16 @@ def _nearest(a: int, b: int) -> int:
 
 
 def _hnf_int(
-    columns: list[list[int]], want_u: bool = True, start: list[list[int]] | None = None,
-    spent: list[int] | None = None,
+    columns: list[list[int]], want_u: bool = True, spent: list[int] | None = None
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Column HNF over Z with transformation: returns (H, U), A*U = H.
 
     U is unimodular, pivots are positive, and the pivot-row entries of
     later columns lie in [0, pivot).  H is unique for the Z-span of the
-    columns; U is not.  With ``start`` (see ``_hnf``), U is start times
-    the elimination's transform; ``spent`` counts its work, as in ``_hnf``.
+    columns; U is not.  ``spent`` counts its work, as in ``_hnf``.
     """
     return _hnf(columns, want_u, 0, 1, lambda a, j: abs(a), _nearest,
-                lambda a: -1 if a < 0 else 1, start, spent)
+                lambda a: -1 if a < 0 else 1, spent)
 
 
 def hnf_modpoly(columns, m: int):

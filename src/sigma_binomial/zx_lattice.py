@@ -12,13 +12,14 @@ Buchberger's criterion (every input and every same-row S-vector reduces
 to zero); a failed certificate raises the cap by one, and the last HNF
 is extended by the new shifts of that degree rather than recomputed.
 
-The certificate is the only Buchberger pass.  Tracked, its quotients
-are the relations: each S-vector's quotients, with the multipliers of
-its pair, give a Schreyer syzygy of the basis, and each input's give
-the input over the basis.  ``_tracked_kernel`` returns them as they
-are, over the basis, which is all the constants of a Laurent system
-need; ``gker`` lifts them through the basis columns' expressions to
-the Z[x]-relations among the inputs.
+The certificate is the only Buchberger pass, and a completion tracks
+nothing.  The expressions of the basis over the generators g_1..g_s and
+the Z[x]-relations among them come from one completion of the stacked
+columns (e_l, g_l) in Z[x]^(s+n) (``_tracked_kernel``): as rows are
+compared first, its GHNF holds the GHNF of the g_l, each column above
+its expression, followed by the GHNF of the relations (the elimination
+trick of Adams and Loustaunau, ch. 3; a GHNF is a strong Groebner
+basis over Z, so it applies).
 
 Two reduction conventions coexist on purpose:
 
@@ -37,7 +38,9 @@ lies in the lattice.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import pid_linalg
@@ -403,33 +406,13 @@ def _s_multipliers(f: LatVec, g: LatVec) -> tuple[IntPoly, IntPoly]:
 # Completion
 
 
-class _Tracked:
-    __slots__ = ("vec", "expr", "key")
-
-    def __init__(self, vec: LatVec, expr: tuple[IntPoly, ...] | None):
-        self.vec = vec
-        self.expr = expr
-        self.key = _lt_key(vec) if vec else None
-
-
-def _reduce_tracked(item: _Tracked, basis: list[_Tracked], track: bool) -> _Tracked:
-    r, qs = _reduce(item.vec, [b.vec for b in basis], track)
-    expr = item.expr
-    if track and expr is not None:
-        expr = list(expr)
-        for q, b in zip(qs, basis):
-            if q:
-                for l in range(len(expr)):
-                    if b.expr[l]:
-                        expr[l] = expr[l] - q * b.expr[l]
-        expr = tuple(expr)
-    return _Tracked(r, expr)
+# bench/layertrace.py keys each completion by its inputs' vec and expr
+_Input = namedtuple("_Input", ["vec", "expr"], defaults=[None])
 
 
 def _precondition(
-    items: list[_Tracked], cap: int, h: list[list[int]], u: list[list[int]],
-    origin: list[tuple[int, int]], track: bool, spent: list[int],
-) -> tuple[list[list[int]], list[list[int]]]:
+    vecs: list[LatVec], cap: int, h: list[list[int]], spent: list[int]
+) -> list[list[int]]:
     """Extend the integer HNF of the shifts x^j g to the degree cap.
 
     Each shift is flattened row-major into Z^(n(cap+1)), so the bottom-most
@@ -439,47 +422,22 @@ def _precondition(
     shift of degree <= cap afresh.  A zero at the top of each row block
     widens h to width cap + 1 and keeps it in HNF, so a later round only
     adds the new shifts x^(cap - deg g) g, one per input, and eliminates
-    them against h, started from h's transforms ``u``.  Returns the
-    nonzero HNF columns at cap, in ascending leading-term order, and,
-    when ``track`` is set, their transforms over the shifts listed in
-    ``origin`` as (input index, j); ``origin`` grows by the new shifts,
-    and ``spent`` by the entries the HNF rewrites.
+    them against h.  Returns the nonzero HNF columns at cap, in ascending
+    leading-term order; ``spent`` grows by the entries the HNF rewrites.
     """
-    n = items[0].vec.n
+    n = vecs[0].n
     width = cap + 1
-    known = len(origin)
     flat = [[v for r in range(n) for v in col[r * cap : (r + 1) * cap] + [0]] for col in h]
-    for idx, it in enumerate(items):
-        deg = it.vec.max_degree()
-        blocks = [e.coeffs for e in it.vec.entries]
+    for g in vecs:
+        deg = g.max_degree()
+        blocks = [e.coeffs for e in g.entries]
         for j in range(cap - deg if h else 0, cap - deg + 1):
             col = []
             for cs in blocks:
                 col.extend((0,) * j + cs + (0,) * (width - j - len(cs)))
             flat.append(col)
-            origin.append((idx, j))
-    start = None
-    if track:
-        added = len(origin) - known
-        start = [uk + [0] * added for uk in u]
-        start += [[int(i == k) for i in range(len(origin))] for k in range(known, len(origin))]
-    hk, uk = pid_linalg._hnf_int(flat, want_u=track, start=start, spent=spent)
-    nonzero = [k for k in range(len(hk)) if any(hk[k])]
-    return [hk[k] for k in nonzero], ([uk[k] for k in nonzero] if track else [])
-
-
-def _expression(ucol: list[int], origin, items: list[_Tracked]) -> tuple[IntPoly, ...]:
-    """The expression over the inputs of the HNF column with transform ucol."""
-    s = len(items[0].expr)
-    expr = [IntPoly() for _ in range(s)]
-    for pos, coeff in enumerate(ucol):
-        if coeff:
-            idx, j = origin[pos]
-            mult = IntPoly.term(coeff, j)
-            for l in range(s):
-                if items[idx].expr[l]:
-                    expr[l] = expr[l] + mult * items[idx].expr[l]
-    return tuple(expr)
+    hk, _ = pid_linalg._hnf_int(flat, want_u=False, spent=spent)
+    return [c for c in hk if any(c)]
 
 
 def _minimal_chain(keys: list[tuple[int, int, int]]) -> list[int] | None:
@@ -502,41 +460,17 @@ def _minimal_chain(keys: list[tuple[int, int, int]]) -> list[int] | None:
     return kept
 
 
-def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec], track: bool):
+def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec]) -> bool:
     """Buchberger's test: every input and every same-row S-vector
-    reduces to zero over the basis.  None when one does not.
-
-    Otherwise (quotients, syzygies), both empty unless ``track`` is
-    set: each input's quotients over the basis, and for each same-row
-    pair i < j the Schreyer syzygy mf*e_i - mg*e_j - qs, where
-    S(b_i, b_j) = mf*b_i - mg*b_j reduces with quotients qs.  These
-    syzygies generate every Z[x]-relation among the basis columns.
-    """
-    quotients, syzygies = [], []
-    for v in inputs:
-        r, qs = _reduce(v, basis, track)
-        if r:
-            return None
-        if track:
-            quotients.append(qs)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if basis[i].leading_term().row == basis[j].leading_term().row:
-                r, qs = _reduce(s_vector(basis[i], basis[j]), basis, track)
-                if r:
-                    return None
-                if track:
-                    mf, mg = _s_multipliers(basis[i], basis[j])
-                    syz = [-q for q in qs]
-                    syz[i] = syz[i] + mf
-                    syz[j] = syz[j] - mg
-                    syzygies.append(tuple(syz))
-    return quotients, syzygies
+    reduces to zero over the basis."""
+    pairs = (s_vector(f, g) for i, f in enumerate(basis) for g in basis[i + 1 :]
+             if f.leading_term().row == g.leading_term().row)
+    return not any(_reduce(v, basis, False)[0] for v in chain(inputs, pairs))
 
 
-def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
+def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
     """The reduced Groebner basis of the nonzero inputs' Z[x]-lattice,
-    by linear algebra, with the quotients of its certificate.
+    by linear algebra, in ascending leading-term order.
 
     Round b holds the integer HNF of the shifts of the inputs up to the
     degree cap top + b, where top is the largest input degree.  The first
@@ -545,50 +479,40 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
     terms are minimal, tail-canonicalizes them with ``_reduce`` and
     certifies the result with ``_certified``.  A round whose leading
     coefficients do not form a divisibility chain, or whose certificate
-    fails, moves to the next cap.  Expressions are built only for the
-    kept columns.  A round spends from ``max_steps`` its rows times its
-    new shifts, one step per tail reduction and one per 20 entries its
-    HNF rewrites; running out raises RuntimeError.
-
-    Returns (basis, quotients, syzygies): the basis as tracked items and
-    the certificate's quotients, which in track mode are each input over
-    the basis and the basis's Schreyer syzygies.
+    fails, moves to the next cap.  A round spends from ``max_steps`` its
+    rows times its new shifts, one step per tail reduction and one per 20
+    entries its HNF rewrites; running out raises RuntimeError.
     """
     if not inputs:
-        return [], [], []
-    n = inputs[0].vec.n
-    top = max(it.vec.max_degree() for it in inputs)
+        return []
+    vecs = [it.vec for it in inputs]
+    n = vecs[0].n
+    cap = max(v.max_degree() for v in vecs)
     budget = max_steps
     spent = [0]
     h: list[list[int]] = []
-    u: list[list[int]] = []
-    origin: list[tuple[int, int]] = []
-    cap = top
     while True:
         cap += 1
         width = cap + 1
-        known, prev = len(origin), len(h)
-        h, u = _precondition(inputs, cap, h, u, origin, track, spent)
-        shape = (n * width, prev + len(origin) - known)
-        budget -= shape[0] * (len(origin) - known)
+        new = len(vecs) if h else sum(cap + 1 - v.max_degree() for v in vecs)
+        shape = (n * width, len(h) + new)
+        budget -= shape[0] * new
+        h = _precondition(vecs, cap, h, spent)
         pivots = [pid_linalg._pivot_row(col) for col in h]
         kept = _minimal_chain([(p // width + 1, p % width, h[k][p]) for k, p in enumerate(pivots)])
         if kept is not None:
-            basis = []
-            for k in kept:
-                vec = LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
-                basis.append(_Tracked(vec, _expression(u[k], origin, inputs) if track else None))
+            basis = [LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
+                     for k in kept]
             # canonical form only depends on the others' leading terms,
             # so one pass leaves every tail reduced
             for idx in range(len(basis)):
                 budget -= 1
-                red = _reduce_tracked(basis[idx], basis[:idx] + basis[idx + 1 :], track)
-                if red.key != basis[idx].key:
+                red, _ = _reduce(basis[idx], basis[:idx] + basis[idx + 1 :], False)
+                if _lt_key(red) != _lt_key(basis[idx]):
                     raise AssertionError("tail reduction moved a leading term")
                 basis[idx] = red
-            cert = _certified([it.vec for it in basis], [it.vec for it in inputs], track)
-            if cert is not None:
-                return (basis, *cert)
+            if _certified(basis, vecs):
+                return basis
         if budget < spent[0] // 20:
             raise RuntimeError(
                 "completion did not stabilize: degree cap %d, last HNF %dx%d"
@@ -596,44 +520,54 @@ def _complete(inputs: list[_Tracked], track: bool, max_steps: int = 500000):
             )
 
 
-def _inputs(gens: list[LatVec], n: int | None, track: bool) -> tuple[int, list[_Tracked]]:
-    """(n, items) for a completion of gens: n defaults to the first
-    generator's dimension, every generator must have it, and each
-    nonzero one becomes an item, with its unit expression over gens
-    when ``track`` is set."""
+def _dimension(gens: list[LatVec], n: int | None) -> int:
+    """n, defaulting to the first generator's dimension, which every
+    generator must have."""
     if n is None:
         n = gens[0].n if gens else 0
     if any(g.n != n for g in gens):
         raise DimensionError("mixed dimensions in generators")
-    s = len(gens)
-    return n, [
-        _Tracked(g, LatVec.unit(s, l).entries if track else None) for l, g in enumerate(gens) if g
-    ]
+    return n
 
 
 def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
     """Canonical generalized Hermite normal form of the generated lattice."""
-    n, items = _inputs(list(gens), n, False)
-    return GhnfBasis(n, [it.vec for it in _complete(items, False)[0]])
+    gens = list(gens)
+    n = _dimension(gens, n)
+    return GhnfBasis(n, _complete([_Input(g) for g in gens if g]))
 
 
 def ghnf_track(
     gens: Sequence[LatVec], n: int | None = None
 ) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...]]:
-    """ghnf plus, per output column, its Z[x]-expression over the inputs."""
+    """ghnf plus, per output column, its Z[x]-expression over the inputs
+    (``_tracked_kernel``)."""
     return _tracked_kernel(list(gens), n)[:2]
 
 
 def _tracked_kernel(gens: list[LatVec], n: int | None = None):
-    """(basis, exprs, quotients, syzygies, zeros) of one tracked
-    completion of gens: the GHNF, each column's expression over gens,
-    each nonzero input's quotients over the basis, the basis's Schreyer
-    syzygies by pair i < j (``_certified``), and the zero inputs' indices."""
-    n, items = _inputs(gens, n, True)
-    basis, quotients, syzygies = _complete(items, True)
-    zeros = [l for l, g in enumerate(gens) if not g]
-    exprs = tuple(it.expr for it in basis)
-    return GhnfBasis(n, [it.vec for it in basis]), exprs, quotients, syzygies, zeros
+    """(basis, exprs, kernel) from one completion of the columns (e_l, g_l).
+
+    The stacked columns live in Z[x]^(s+n): the unit vector e_l in rows
+    1..s above g_l in rows s+1..s+n.  Their lattice is {(a, sum a_l g_l)}.
+    Its GHNF splits at row s, as the order compares rows first.  The
+    columns with pivot row past s are (expr_k, b_k): the b_k are ghnf(gens),
+    with the same leading terms and tails reduced by the same columns,
+    and expr_k is b_k over the g_l.  The columns with pivot row at most s
+    are (k, 0), and their k are the GHNF of the Z[x]-relations among the
+    g_l; a zero g_l gives the relation e_l.
+    """
+    n = _dimension(gens, n)
+    s = len(gens)
+    stacked = [LatVec(LatVec.unit(s, l).entries + g.entries) for l, g in enumerate(gens)]
+    cols = _complete([_Input(v) for v in stacked])
+    split = sum(1 for c in cols if c.leading_term().row <= s)
+    top = cols[split:]
+    return (
+        GhnfBasis(n, [LatVec(c.entries[s:]) for c in top]),
+        tuple(c.entries[:s] for c in top),
+        [LatVec(c.entries[:s]) for c in cols[:split]],
+    )
 
 
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:
@@ -686,29 +620,14 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 
 
 # ---------------------------------------------------------------------------
-# Syzygies and kernels
+# Kernels
 
 
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:
-    """Generators of {X in Z[x]^s | M X = 0} for the matrix with these columns.
-
-    They are the relations of one tracked completion of the columns
-    (``_tracked_kernel``), lifted through the basis columns' expressions.
-    In order: e_l for each zero column l, the lifted Schreyer syzygies,
-    then e_l minus the lifted quotients for each nonzero column l.  Zero
-    relations and exact duplicates are dropped, the order is kept.
-    """
-    columns = list(columns)
-    _, exprs, quotients, syzygies, zeros = _tracked_kernel(columns)
-    s = len(columns)
-
-    def lift(coords) -> LatVec:
-        return sum((LatVec(e) * q for q, e in zip(coords, exprs) if q), LatVec.zero(s))
-
-    nonzero = [l for l, g in enumerate(columns) if g]
-    relations = [LatVec.unit(s, l) for l in zeros] + [lift(syz) for syz in syzygies]
-    relations += [LatVec.unit(s, l) - lift(qs) for l, qs in zip(nonzero, quotients)]
-    return list(dict.fromkeys(v for v in relations if v))
+    """The GHNF of {X in Z[x]^s | M X = 0} for the matrix M with these
+    columns, read off one completion of the columns (e_l, g_l)
+    (``_tracked_kernel``)."""
+    return _tracked_kernel(list(columns))[2]
 
 
 # ---------------------------------------------------------------------------

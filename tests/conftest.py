@@ -4,6 +4,7 @@ import pytest
 
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str
 from sigma_binomial.laurent import LaurentBinomial
+from sigma_binomial.pid_linalg import ker_int
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.zx_lattice import LatVec
 
@@ -19,6 +20,27 @@ def rand_poly(rng, maxdeg=3, maxcoeff=10) -> IntPoly:
 
 def rand_vec(rng, n, maxdeg=3, maxcoeff=10) -> LatVec:
     return LatVec(rand_poly(rng, maxdeg, maxcoeff) for _ in range(n))
+
+
+def truncated_kernel(cols, dx):
+    """The nonzero vectors of a Z-basis of {X | deg X <= dx, sum X_j cols_j = 0},
+    by ker_int on the flattened shifts, independent of the completion."""
+    s = len(cols)
+    top = dx + max((c.max_degree() for c in cols if c), default=0) + 1
+    flat_cols = []
+    for j in range(s):
+        for k in range(dx + 1):
+            v = cols[j].shift(k)
+            col = []
+            for e in v.entries:
+                col.extend(e.coeff(t) for t in range(top + 1))
+            flat_cols.append(col)
+    out = []
+    for ivec in ker_int(flat_cols):
+        x = LatVec(IntPoly(ivec[j * (dx + 1) : (j + 1) * (dx + 1)]) for j in range(s))
+        if x:
+            out.append(x)
+    return out
 
 
 def saturation_systems(seed: int = 11, trials: int = 200):

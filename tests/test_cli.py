@@ -177,7 +177,7 @@ def test_leading_sign():
 
 def test_kernel_json():
     code, out = call(["kernel", "--json"], "2\n3\n")
-    assert code == 0 and json.loads(out) == {"generators": [["3", "-2"]]}
+    assert code == 0 and json.loads(out) == {"generators": [["-3", "2"]]}
 
 
 def test_determinism():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, laurent_systems, rand_vec
+from conftest import V, laurent_systems, rand_vec, truncated_kernel
 from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.saturation import is_saturated
@@ -436,17 +436,25 @@ def test_dimension():
 
 
 def _count_completions(monkeypatch):
-    """Record the inputs of every `_complete` call as a hashable key."""
+    """Record every `_complete` call and every `_tracked_kernel` call
+    (patched in laurent too) as a hashable key (kind, input vectors)."""
+    import sigma_binomial.laurent as laurent_mod
     import sigma_binomial.zx_lattice as zx
 
     keys = []
-    original = zx._complete
+    complete, tracked = zx._complete, zx._tracked_kernel
 
-    def counted(inputs, track, *args, **kwargs):
-        keys.append((track, tuple((it.vec.entries, it.expr) for it in inputs)))
-        return original(inputs, track, *args, **kwargs)
+    def counted_complete(inputs, *args, **kwargs):
+        keys.append(("complete", tuple(it.vec.entries for it in inputs)))
+        return complete(inputs, *args, **kwargs)
 
-    monkeypatch.setattr(zx, "_complete", counted)
+    def counted_tracked(gens, *args, **kwargs):
+        keys.append(("tracked", tuple(g.entries for g in gens)))
+        return tracked(gens, *args, **kwargs)
+
+    monkeypatch.setattr(zx, "_complete", counted_complete)
+    for mod in (zx, laurent_mod):
+        monkeypatch.setattr(mod, "_tracked_kernel", counted_tracked)
     return keys
 
 
@@ -464,7 +472,8 @@ def test_make_character_one_tracked_completion(monkeypatch):
     keys = _count_completions(monkeypatch)
     rho = make_character(sys716, ID, n)
     assert not is_unit(rho)
-    assert len(keys) == 1 and keys[0][0] is True
+    # one tracked kernel, which runs one completion
+    assert [kind for kind, _ in keys] == ["tracked", "complete"]
 
 
 def test_perfect_closure_one_tracked_completion_per_character(monkeypatch):
@@ -484,7 +493,7 @@ def test_perfect_closure_one_tracked_completion_per_character(monkeypatch):
     for n, system, _ in laurent_systems():
         for sigma in (ID, CONJ):
             perfect_closure(system, sigma, n)
-    tracked = sum(track for track, _ in keys)
+    tracked = sum(kind == "tracked" for kind, _ in keys)
     assert made and tracked == len(made), (tracked, len(made))
 
 
@@ -607,13 +616,17 @@ def test_apply_is_the_pow_zx_product(pairs, sigma, cancel):
     ids=["default", "larger"],
 )
 def test_properness_against_lifted_relations(family):
-    """make_character, which tests properness over the basis, returns UNIT
-    exactly when some Z[x]-relation among the supports, lifted by
-    gker, sends the constants to something other than 1."""
+    """make_character returns UNIT exactly when some Z[x]-relation among
+    the supports sends the constants to something other than 1.  The
+    relations are a Z-basis of the kernel truncated at the largest degree
+    D of gker's generators, by ker_int on the flattened shifts: they lie
+    in the kernel, and every generator is a Z-combination of them."""
     outcomes = set()
     for n, system, sigma in laurent_systems(**family):
         consts = [b.constant for b in system]
-        relations = gker([b.support for b in system])
+        supports = [b.support for b in system]
+        degree = max((x.max_degree() for x in gker(supports)), default=0)
+        relations = truncated_kernel(supports, degree)
         improper = any(
             not _reference_product(rel.entries, consts, sigma).is_one() for rel in relations
         )

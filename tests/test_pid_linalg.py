@@ -212,22 +212,16 @@ def test_hnf_int_against_sympy(sympy_hnf, matrix):
 @settings(max_examples=150, deadline=timedelta(seconds=2))
 @given(int_matrices(), st.data())
 def test_hnf_int_extends_previous_hnf(matrix, data):
-    # the completion's step: HNF(A) without its zero columns, started from
-    # its transform, plus new columns B, is HNF([A | B])
+    # the completion's step: HNF(A) without its zero columns, plus new
+    # columns B, is HNF([A | B])
     a, rows = matrix
     entry = st.one_of(st.just(0), st.integers(-20, 20))
     b = data.draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=4))
     both = a + b
-    h_a, u_a = _hnf_int(a)
-    kept = [k for k in range(len(h_a)) if any(h_a[k])]
-    start = [u_a[k] + [0] * len(b) for k in kept]
-    start += [[int(i == len(a) + k) for i in range(len(both))] for k in range(len(b))]
-    h, u = _hnf_int([h_a[k] for k in kept] + b, start=start)
+    h_a, _ = _hnf_int(a, want_u=False)
+    h, _ = _hnf_int([c for c in h_a if any(c)] + b, want_u=False)
     nonzero = [c for c in h if any(c)]
     assert nonzero == [c for c in _hnf_int(both, want_u=False)[0] if any(c)]
-    # [A | B] * U = H
-    for hk, uk in zip(h, u):
-        assert [sum(col[r] * x for col, x in zip(both, uk)) for r in range(rows)] == hk
     try:
         from sympy import Matrix
         from sympy.matrices.normalforms import hermite_normal_form

@@ -198,30 +198,30 @@ def test_m_step_needs_no_tracked_completion(monkeypatch):
                                           "y1^(3) - 1") for sigma in (ID, CONJ)]
     answers = [_wellmixed_answers(text, sigma) for text, sigma in systems]
 
-    real_complete, real_character = zx_lattice._complete, laurent.make_character
+    real_tracked, real_character = zx_lattice._tracked_kernel, laurent.make_character
     counts = {"tracked": 0, "characters": 0}
 
-    def untracked(inputs, track, *args, **kwargs):
-        if track:
-            raise AssertionError("tracked completion in an M step")
-        return real_complete(inputs, track, *args, **kwargs)
+    def untracked(*args, **kwargs):
+        raise AssertionError("tracked completion in an M step")
 
-    def counted_complete(inputs, track, *args, **kwargs):
-        counts["tracked"] += track
-        return real_complete(inputs, track, *args, **kwargs)
+    def counted_tracked(*args, **kwargs):
+        counts["tracked"] += 1
+        return real_tracked(*args, **kwargs)
 
     def counted_character(*args, **kwargs):
         counts["characters"] += 1
         return real_character(*args, **kwargs)
 
-    monkeypatch.setattr(zx_lattice, "_complete", untracked)
+    for mod in (zx_lattice, laurent):
+        monkeypatch.setattr(mod, "_tracked_kernel", untracked)
     for (gens, sigma), (m_cols, p_cols), sz in zip(cases, expected, sat_zs):
         assert sat_z(gens, 2) == sz
         assert sat_m(gens, sigma, 2).columns == m_cols
         assert sat_p(gens, sigma, 2).columns == p_cols
         assert is_saturated(ghnf(gens, 2), "p", sigma) == (p_cols == ghnf(gens, 2).columns)
     assert is_saturated(ghnf(ex522, 2), "p", ID) and is_saturated(ghnf(ex623, 2), "p", ID)
-    monkeypatch.setattr(zx_lattice, "_complete", counted_complete)
+    for mod in (zx_lattice, laurent):
+        monkeypatch.setattr(mod, "_tracked_kernel", counted_tracked)
     monkeypatch.setattr(laurent, "make_character", counted_character)
     for (text, sigma), answer in zip(systems, answers):
         assert _wellmixed_answers(text, sigma) == answer, (text, sigma)

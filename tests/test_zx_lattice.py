@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, rand_poly, rand_vec
+from conftest import V, rand_poly, rand_vec, truncated_kernel
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.zx_lattice import (
     DimensionError,
@@ -173,29 +173,8 @@ def test_gker_examples():
     # zero column contributes a unit vector
     ker3 = gker([LatVec.zero(1), V("1")])
     assert any([str(e) for e in x.entries] == ["1", "0"] for x in ker3)
-
-
-def _truncated_kernel(cols, dx):
-    """The nonzero vectors of a Z-basis of {X | deg X <= dx, sum X_j cols_j = 0},
-    by ker_int on the flattened shifts, independent of the completion."""
-    from sigma_binomial.pid_linalg import ker_int
-
-    s = len(cols)
-    top = dx + max((c.max_degree() for c in cols if c), default=0) + 1
-    flat_cols = []
-    for j in range(s):
-        for k in range(dx + 1):
-            v = cols[j].shift(k)
-            col = []
-            for e in v.entries:
-                col.extend(e.coeff(t) for t in range(top + 1))
-            flat_cols.append(col)
-    out = []
-    for ivec in ker_int(flat_cols):
-        x = LatVec(IntPoly(ivec[j * (dx + 1) : (j + 1) * (dx + 1)]) for j in range(s))
-        if x:
-            out.append(x)
-    return out
+    # the output is the kernel's GHNF
+    assert gker([V("2", "0"), V("x", "0")]) == [V("-x", "2")]
 
 
 def _image(x, cols, n):
@@ -210,29 +189,24 @@ def test_gker_bounded_completeness():
         gens = gker(cols)
         span = ghnf(gens, s) if gens else None
         # brute force: integer kernel of the map (coeffs of X) -> M X
-        for x in _truncated_kernel(cols, 2):
+        for x in truncated_kernel(cols, 2):
             assert span is not None and contains(span, x)
 
 
-def test_gker_reduces_each_s_vector_once(monkeypatch):
-    # the certificate's S-vector quotients are the syzygies: no second pass
+def test_gker_runs_one_completion(monkeypatch):
+    # the kernel is read off one completion of the stacked columns (e_l, g_l)
     import sigma_binomial.zx_lattice as zx
 
-    cols = [V("2", "0"), V("x", "0")]
-    basis = ghnf(cols, 2)
-    pairs = [(f, g) for i, f in enumerate(basis.columns) for g in basis.columns[i + 1 :]
-             if f.leading_term().row == g.leading_term().row]
-    assert pairs
     calls = []
-    original = zx.s_vector
+    original = zx._complete
 
-    def counted(f, g):
-        calls.append((f, g))
-        return original(f, g)
+    def counted(inputs, *args, **kwargs):
+        calls.append([it.vec for it in inputs])
+        return original(inputs, *args, **kwargs)
 
-    monkeypatch.setattr(zx, "s_vector", counted)
-    assert gker(cols)
-    assert [calls.count(p) for p in pairs] == [1] * len(pairs)
+    monkeypatch.setattr(zx, "_complete", counted)
+    assert gker([V("2", "0"), V("x", "0")])
+    assert calls == [[V("1", "0", "2", "0"), V("0", "1", "x", "0")]]
 
 
 def test_member_oracle():
@@ -318,7 +292,9 @@ def test_gker_generates_the_truncated_kernel(lattice):
     gens = gker(cols)
     assert all(not _image(x, cols, n) for x in gens)
     span = ghnf(gens, len(cols))
-    assert all(contains(span, x) for x in _truncated_kernel(cols, 2))
+    assert gens == list(span.columns)
+    assert verify_ghnf(gens)[0]
+    assert all(contains(span, x) for x in truncated_kernel(cols, 2))
 
 
 @PROPERTY
@@ -403,9 +379,9 @@ def test_s_vector_is_multiplier_combination(lattice):
 def test_completion_budget_error_names_cap_and_shape():
     from sigma_binomial import zx_lattice as zx
 
-    items = [zx._Tracked(g, None) for g in (V("-2", "2*x^2+3*x+3"), V("-2*x^2-3*x+5", "3"))]
+    items = [zx._Input(g) for g in (V("-2", "2*x^2+3*x+3"), V("-2*x^2-3*x+5", "3"))]
     with pytest.raises(RuntimeError, match=r"^completion did not stabilize: degree cap 3, last HNF 8x4$"):
-        zx._complete(items, False, max_steps=1)
+        zx._complete(items, max_steps=1)
     # the default budget is enough
     assert verify_ghnf(ghnf([it.vec for it in items], 2))[0]
 

@@ -8,9 +8,8 @@ the library and the benchmark's instance generators are both taken from
 it.  OUT receives one line per output:
 
 - every output of the ``lattice``, ``saturate``, ``decompose`` and
-  ``cli_paper`` benchmark pools, rendered as the benchmark renders it,
-  except that a ``gker`` output is written as the GHNF of the kernel it
-  generates: its generator list is not canonical, the kernel is;
+  ``cli_paper`` benchmark pools, rendered as the benchmark renders it
+  (a ``gker`` output is the GHNF of the kernel, so it is canonical too);
 - on the criterion-9 saturation family, per seed and trial: the
   ``zfactor`` witnesses (h, k, e) of the input's GHNF, ``sat_z`` with
   its least multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
@@ -221,8 +220,7 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
     for workload in ("lattice", "saturate", "decompose", "cli_paper"):
         for idx, inst in enumerate(gen.POOLS[workload]()):
             op = worker.prepare(sb, cli, inst)
-            text = op.canon if inst["op"] == "gker" else op.render
-            emit("%s/%d" % (workload, idx), _guard(lambda: text(op.call())))
+            emit("%s/%d" % (workload, idx), _guard(lambda: op.render(op.call())))
 
     sigmas = (sb.SigmaConfig.IDENTITY, sb.SigmaConfig.CONJUGATION)
     for seed in sat_seeds:
