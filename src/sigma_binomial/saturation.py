@@ -5,15 +5,15 @@ saturated of that kind: ``xfactor`` finds h with x*h in the lattice from
 the integer kernel of the constant terms, ``zfactor`` finds h with m*h
 in the lattice by working over Z_m[x], and ``mfactor`` returns
 (x - 1)*g, or (x + 1)*g under conj, for the Z-saturation columns g
-outside the lattice.  The x- and Z-saturations loop, adjoining the
-witnesses of their kind until there are none; each witness lies in every
-saturated lattice containing the current one.  The Z loop runs no round
-when the blocks' pivot rows are 1, ..., k and each block starts at
-degree 0 (``_saturate``).  The full saturation is the Z loop after
-sat_x, M-saturation takes one round, and P-saturation one after sat_x.
-The M step needs no multipliers: it shifts every column of sat_Z(L) by
-x - eps (``m_shift``).  ``sat_z`` reads each column's least multiplier
-into the input off the input's GHNF (``_multiplier``).
+outside the lattice.  The x- and Z-saturations loop, extending the GHNF
+by the witnesses of their kind (``extend``) until there are none; each
+witness lies in every saturated lattice containing the current one.  The
+Z loop runs no round when the blocks' pivot rows are 1, ..., k and each
+block starts at degree 0 (``_saturate``).  The full saturation is the Z
+loop after sat_x, M-saturation takes one round, and P-saturation one
+after sat_x.  The M step needs no multipliers: it shifts every column of
+sat_Z(L) by x - eps (``m_shift``).  ``sat_z`` reads each column's least
+multiplier into the input off the input's GHNF (``_multiplier``).
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
@@ -43,7 +43,7 @@ from math import gcd, prod
 from . import pid_linalg
 from .constants import SigmaConfig
 from .polyzx import IntPoly, NonUnit, _trial_divide, mod_reduce
-from .zx_lattice import GhnfBasis, LatVec, ghnf, grem
+from .zx_lattice import GhnfBasis, LatVec, extend, ghnf, grem
 
 __all__ = [
     "SatWitnessX",
@@ -107,7 +107,8 @@ def xfactor(basis: GhnfBasis) -> list[SatWitnessX]:
 
 
 def sat_x(gens, n: int | None = None) -> GhnfBasis:
-    """The x-saturation: adjoin XFactor witnesses until there are none."""
+    """The x-saturation: extend the GHNF by the XFactor witnesses
+    (``extend``) until there are none."""
     return _saturate(gens, n, "x")
 
 
@@ -255,7 +256,8 @@ def _witnesses(basis: GhnfBasis, kind: str, sigma: SigmaConfig | None) -> list[L
 
 
 def _saturate(gens, n: int | None, kind: str):
-    """The least lattice containing gens with no witnesses of this kind.
+    """The least lattice containing gens with no witnesses of this kind,
+    from rounds that extend the GHNF by the witnesses (``extend``).
 
     The Z loop needs no witness round when the blocks' pivot rows are
     exactly 1, ..., k and every block's first degree is 0.  Then L lies
@@ -274,22 +276,23 @@ def _saturate(gens, n: int | None, kind: str):
                            for i, b in enumerate(basis.blocks, 1)):
         return GhnfBasis(basis.n, [LatVec.unit(basis.n, i) for i in range(len(basis.blocks))])
     while hs := _witnesses(basis, kind, None):
-        basis = ghnf(list(basis.columns) + hs, basis.n)
+        basis = extend(basis, hs)
     return basis
 
 
 def sat_m(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
-    """The M-saturation in one round: the witnesses W lie in sat_Z(L), so
-    L + W has the same sat_Z, whose (x - eps)*g all lie in L + W."""
+    """The M-saturation in one round, extending the GHNF by the witnesses
+    W (``extend``): they lie in sat_Z(L), so L + W has the same sat_Z,
+    whose (x - eps)*g all lie in L + W."""
     basis = gens if isinstance(gens, GhnfBasis) else ghnf(gens, n)
-    hs = mfactor(basis, sigma)
-    return ghnf(list(basis.columns) + hs, basis.n) if hs else basis
+    return extend(basis, mfactor(basis, sigma))
 
 
 def sat_p(gens, sigma: SigmaConfig, n: int | None = None) -> GhnfBasis:
-    """The P-saturation, sat_m(sat_x(L)): for L x-saturated, L' = sat_m(L)
-    stays so.  If x*h lies in L', h lies in sat_Z(L), x-saturated as L is,
-    and x*h = eps*h mod L', so h lies in L'."""
+    """The P-saturation, sat_m(sat_x(L)), each extending the GHNF by the
+    witnesses (``extend``): for L x-saturated, L' = sat_m(L) stays so.
+    If x*h lies in L', h lies in sat_Z(L), x-saturated as L is, and
+    x*h = eps*h mod L', so h lies in L'."""
     return sat_m(sat_x(gens, n), sigma)
 
 

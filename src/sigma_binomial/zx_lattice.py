@@ -21,6 +21,16 @@ its expression, followed by the GHNF of the relations (the elimination
 trick of Adams and Loustaunau, ch. 3; a GHNF is a strong Groebner
 basis over Z, so it applies).
 
+Extending a GHNF by a few vectors (``extend``, for the rounds of the
+saturations) first tries the basis as it stands.  Each new vector is its
+remainder by the basis plus a vector of the basis's lattice, so the basis
+and the nonzero remainders span the extended lattice.  Their minimal
+leading terms are kept and tail-reduced, which only subtracts multiples
+of other kept columns, so every kept candidate lies in the lattice of
+the result by construction; only the candidates not kept must reduce to
+zero, next to the S-vectors, for Buchberger's test to certify it.  A
+failed test runs the completion on the basis and the remainders.
+
 Two reduction conventions coexist on purpose:
 
 * the canonical reduction used by ``grem`` and the completion replaces a
@@ -57,6 +67,7 @@ __all__ = [
     "grem_track",
     "s_vector",
     "ghnf",
+    "extend",
     "ghnf_track",
     "verify_ghnf",
     "gker",
@@ -468,6 +479,18 @@ def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec]) -> bool:
     return not any(_reduce(v, basis, False)[0] for v in chain(inputs, pairs))
 
 
+def _tail_reduced(basis: list[LatVec]) -> list[LatVec]:
+    """Tail-canonicalize each column by the others, in place.  The
+    canonical form only depends on the others' leading terms, so one
+    pass leaves every tail reduced."""
+    for idx in range(len(basis)):
+        red, _ = _reduce(basis[idx], basis[:idx] + basis[idx + 1 :], False)
+        if _lt_key(red) != _lt_key(basis[idx]):
+            raise AssertionError("tail reduction moved a leading term")
+        basis[idx] = red
+    return basis
+
+
 def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
     """The reduced Groebner basis of the nonzero inputs' Z[x]-lattice,
     by linear algebra, in ascending leading-term order.
@@ -476,7 +499,7 @@ def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
     degree cap top + b, where top is the largest input degree.  The first
     round computes it afresh; each later one extends the last HNF by one
     degree (``_precondition``).  A round keeps the columns whose leading
-    terms are minimal, tail-canonicalizes them with ``_reduce`` and
+    terms are minimal, tail-canonicalizes them (``_tail_reduced``) and
     certifies the result with ``_certified``.  A round whose leading
     coefficients do not form a divisibility chain, or whose certificate
     fails, moves to the next cap.  A round spends from ``max_steps`` its
@@ -501,16 +524,9 @@ def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
         pivots = [pid_linalg._pivot_row(col) for col in h]
         kept = _minimal_chain([(p // width + 1, p % width, h[k][p]) for k, p in enumerate(pivots)])
         if kept is not None:
-            basis = [LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
-                     for k in kept]
-            # canonical form only depends on the others' leading terms,
-            # so one pass leaves every tail reduced
-            for idx in range(len(basis)):
-                budget -= 1
-                red, _ = _reduce(basis[idx], basis[:idx] + basis[idx + 1 :], False)
-                if _lt_key(red) != _lt_key(basis[idx]):
-                    raise AssertionError("tail reduction moved a leading term")
-                basis[idx] = red
+            basis = _tail_reduced([LatVec(IntPoly(h[k][r * width : (r + 1) * width])
+                                          for r in range(n)) for k in kept])
+            budget -= len(basis)
             if _certified(basis, vecs):
                 return basis
         if budget < spent[0] // 20:
@@ -535,6 +551,35 @@ def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
     gens = list(gens)
     n = _dimension(gens, n)
     return GhnfBasis(n, _complete([_Input(g) for g in gens if g]))
+
+
+def extend(basis: GhnfBasis, new: Sequence[LatVec]) -> GhnfBasis:
+    """The GHNF of L(basis) + Z[x]*new, without a completion when the
+    basis and the new vectors' remainders already form a Groebner basis.
+
+    The nonzero remainders R of the new vectors by the basis, with
+    positive leading coefficients, span with the basis the same lattice,
+    as each new vector is its remainder plus a vector of L(basis).  When
+    no remainder is nonzero this is the basis itself.  Otherwise the
+    candidates basis + R, in leading-term order, keep the leading terms
+    ``_minimal_chain`` accepts; these are tail-reduced, which only
+    subtracts multiples of the other kept columns and so keeps their
+    lattice, and certified with ``_certified`` against the candidates
+    that were not kept, which alone need not lie in it.  A rejected
+    chain or a failed certificate runs ``_complete`` on basis + R.
+    """
+    new = list(new)
+    _dimension(new, basis.n)
+    rems = [r if r.is_normal() else -r for r in (grem(v, basis) for v in new) if r]
+    if not rems:
+        return basis
+    cands = sorted(list(basis.columns) + rems, key=_lt_key)
+    kept = _minimal_chain([_lt_key(c) for c in cands])
+    if kept is not None:
+        cols = _tail_reduced([cands[k] for k in kept])
+        if _certified(cols, [c for k, c in enumerate(cands) if k not in kept]):
+            return GhnfBasis(basis.n, cols)
+    return GhnfBasis(basis.n, _complete([_Input(v) for v in cands]))
 
 
 def ghnf_track(

@@ -19,6 +19,7 @@ from sigma_binomial.polyzx import IntPoly, _is_prime, _trial_divide, prime_facto
 from sigma_binomial.zx_lattice import (
     LatVec,
     contains,
+    extend,
     ghnf,
     gker,
     grem,
@@ -29,6 +30,7 @@ from sigma_binomial.zx_lattice import (
 from sigma_binomial.saturation import (
     _zfactor_prime,
     is_saturated,
+    mfactor,
     sat_full,
     sat_m,
     sat_p,
@@ -226,6 +228,57 @@ def test_m_step_needs_no_tracked_completion(monkeypatch):
     for (text, sigma), answer in zip(systems, answers):
         assert _wellmixed_answers(text, sigma) == answer, (text, sigma)
     assert counts["tracked"] == counts["characters"] > 0, counts
+
+
+def test_extend_equals_ghnf_of_the_union(monkeypatch):
+    """On the criterion-9 family, extending each GHNF by its zfactor,
+    xfactor and mfactor witnesses and by random vectors gives the GHNF of
+    the union, and each of extend's three outcomes occurs: the basis
+    itself, a certificate without a completion, and one completion."""
+    completions, real = [], zx_lattice._complete
+    monkeypatch.setattr(zx_lattice, "_complete", lambda *a, **k: completions.append(1) or real(*a, **k))
+    outcomes = {"basis": 0, "certified": 0, "completed": 0}
+    rng = random.Random(25)
+    for n, gens, sigma in saturation_systems():
+        basis = ghnf(gens, n)
+        for new in ([w.h for w in zfactor(basis)], [w.h for w in xfactor(basis)],
+                    mfactor(basis, sigma), [rand_vec(rng, n, 2, 6)],
+                    [rand_vec(rng, n, 2, 6) for _ in range(2)]):
+            before = len(completions)
+            out = extend(basis, new)
+            runs = len(completions) - before
+            assert out.columns == ghnf(list(basis.columns) + new, n).columns, (gens, new)
+            if out is basis:
+                assert runs == 0 and not any(grem(v, basis) for v in new)
+                outcomes["basis"] += 1
+            else:
+                assert runs <= 1
+                outcomes["completed" if runs else "certified"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_saturations_extend_rather_than_complete_again(monkeypatch):
+    """sat_x, sat_z, sat_m and sat_p call ghnf once, on the raw
+    generators, and not at all on a GHNF: their rounds extend it."""
+    calls, real = [], saturation.ghnf
+
+    def counted(gens, n=None):
+        calls.append(list(gens))
+        return real(calls[-1], n)
+
+    monkeypatch.setattr(saturation, "ghnf", counted)
+    rounds = 0
+    for n, gens, sigma in saturation_systems():
+        basis = real(gens, n)
+        for run in (lambda g: sat_x(g, n), lambda g: sat_z(g, n),
+                    lambda g: sat_m(g, sigma, n), lambda g: sat_p(g, sigma, n)):
+            calls.clear()
+            out = run(gens)
+            assert calls == [gens], gens
+            calls.clear()
+            assert run(basis) == out and calls == [], gens
+            rounds += (out.basis if isinstance(out, saturation.TrackedBasis) else out) != basis
+    assert rounds > 100, rounds
 
 
 def _check_torsion_bound(basis):

@@ -17,6 +17,7 @@ from sigma_binomial.zx_lattice import (
     ZeroVector,
     contains,
     enumerate_c,
+    extend,
     ghnf,
     ghnf_track,
     gker,
@@ -68,6 +69,20 @@ def test_ghnf_rejects_mixed_dimensions():
         ghnf([V("1"), V("1", "x")])
     with pytest.raises(DimensionError):
         ghnf([V("1", "x")], 1)
+
+
+def test_extend_by_lattice_vectors_returns_the_basis():
+    basis = ghnf([V("2", "x"), V("0", "3*x+1"), V("x-1", "0")], 2)
+    assert extend(basis, []) is basis
+    assert extend(basis, [P("x") * basis.columns[0]]) is basis
+
+
+def test_extend_rejects_mixed_dimensions():
+    for basis in (ghnf([], 2), ghnf([V("2", "x")], 2)):
+        with pytest.raises(DimensionError):
+            extend(basis, [V("1")])
+        with pytest.raises(DimensionError):
+            extend(basis, [V("1", "0"), V("1", "0", "0")])
 
 
 def test_s_vector_cases():
