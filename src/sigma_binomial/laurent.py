@@ -5,6 +5,14 @@ one constant per basis column; the generators Y^g_i - d_i then form a
 regular coherent chain.  All pseudo-remainder arithmetic happens on
 supports with constant tracking, so ideal elements are never expanded
 into polynomials.
+
+Every character is grown the same way, by adjoining binomials to one
+already known (``_adjoin``): ``make_character`` starts from the empty
+character, and the reflexive rounds, the well-mixed round and each level
+of ``dec_laurent`` start from the character they hold.  The supports
+extend its GHNF (``zx_lattice._tracked_extend``), which gives each new
+column's expression and relations that generate the kernel, and runs a
+completion only when its certificate fails.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from fractions import Fraction
 
 from .constants import FieldConst, SigmaConfig, kth_roots, principal_root
 from .polyzx import IntPoly
-from .zx_lattice import DimensionError, GhnfBasis, LatVec, _tracked_kernel, grem_track
+from .zx_lattice import DimensionError, GhnfBasis, LatVec, _tracked_extend, grem_track
 from . import saturation
 
 __all__ = [
@@ -170,13 +178,14 @@ def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
 
 def _with_constants(part, consts, sigma: SigmaConfig):
     """The character with these constants on the supports of
-    ``part = _tracked_kernel(supports)``, or UNIT.
+    ``part = _tracked_extend(basis, new)``, or UNIT.
 
-    ``part`` is (basis, exprs, kernel).  As ``pow_zx`` is Z[x]-linear in
-    the exponent, every relation among the supports sends the constants
-    to 1 exactly when each kernel generator does; a zero support's
-    relation is e_l, so its constant must be 1.  The constant of basis
-    column k is then the constants to expr_k.
+    ``part`` is (basis, exprs, relations), and the relations generate
+    the kernel.  As ``pow_zx`` is Z[x]-linear in the exponent, every
+    relation among the supports sends the constants to 1 exactly when
+    each generator does; a zero support's relation is e_l, so its
+    constant must be 1.  The constant of basis column k is then the
+    constants to expr_k, the same for every expression of the column.
     """
     basis, exprs, kernel = part
     if any(not _apply(k.entries, consts, sigma).is_one() for k in kernel):
@@ -188,13 +197,13 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     """Present [binomials] by a partial character, or UNIT if improper.
 
     The ideal is proper exactly when every Z[x]-relation of the supports
-    sends the constants to 1.  One completion of the supports stacked
-    under unit vectors (``_tracked_kernel``) gives their GHNF, each
-    column's expression over the supports, and the GHNF of their
-    relations; the constants go through the expressions and properness
-    is tested on the relations (``_with_constants``).  The support part does
-    not depend on the constants, so ``dec_laurent`` builds it once per
-    level and runs only the constant part per system.
+    sends the constants to 1.  The supports, stacked under unit vectors,
+    extend the empty character (``_adjoin``): that gives their GHNF, each
+    column's expression over the supports, and relations that generate
+    all of them, with no completion when the certificate of
+    ``zx_lattice._extend`` holds, as it does when the supports have
+    distinct leading rows.  The constants go through the expressions and
+    properness is tested on the relations (``_with_constants``).
     """
     binomials = list(binomials)
     if n is None:
@@ -203,8 +212,15 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
         n = binomials[0].support.n
     if any(b.support.n != n for b in binomials):
         raise DimensionError("mixed dimensions in binomial system")
-    part = _tracked_kernel([b.support for b in binomials], n)
-    return _with_constants(part, [b.constant for b in binomials], sigma)
+    return _adjoin(PartialCharacter(n, sigma, GhnfBasis(n, []), ()), binomials)
+
+
+def _adjoin(rho: PartialCharacter, binomials):
+    """rho with the binomials adjoined, or UNIT: ``_tracked_extend`` of
+    rho's basis by their supports, then ``_with_constants`` on rho's
+    constants followed by theirs."""
+    part = _tracked_extend(rho.basis, [b.support for b in binomials])
+    return _with_constants(part, rho.constants + tuple(b.constant for b in binomials), rho.sigma)
 
 
 def member(b: LaurentBinomial, rho: PartialCharacter) -> bool:
@@ -291,7 +307,7 @@ def reflexive_closure(binomials, sigma: SigmaConfig, n: int | None = None):
     until there are none; UNIT as soon as the ideal is improper."""
     rho = make_character(binomials, sigma, n)
     while not is_unit(rho) and (forced := _reflexive_forced(rho)):
-        rho = make_character(list(rho.binomials) + forced, sigma, rho.n)
+        rho = _adjoin(rho, forced)
     return rho
 
 
@@ -308,7 +324,7 @@ def _wellmixed_round(rho):
     """
     if is_unit(rho) or not (forced := _wellmixed_forced(rho)):
         return rho
-    return make_character(list(rho.binomials) + forced, rho.sigma, rho.n)
+    return _adjoin(rho, forced)
 
 
 def wellmixed_closure(binomials, sigma: SigmaConfig, n: int | None = None):
@@ -333,12 +349,13 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
     reflexive closure.  Branches differ only in their constants: every
     character on a level has the same basis, hence the same witnesses,
     and every system of the next level has the same supports.  So
-    ``zfactor`` and the completion of the stacked supports
-    (``_tracked_kernel``) run once per level, and each root choice only
+    ``zfactor`` and the extension of the level's basis by the witness
+    supports (``_tracked_extend``) run once per level, with no stacked
+    completion unless its certificate fails, and each root choice only
     runs ``_with_constants``: properness on the relations, then the
-    constants of the basis columns.  A child restricts to
-    its parent and takes the chosen root on each witness, so no two
-    children are equal.
+    constants of the basis columns.  A child restricts to its parent and
+    takes the chosen root on each witness, so no two children are
+    equal.
 
     A level with more than ``_MAX_ROOT_CHOICES`` root choices raises
     RuntimeError before any root is listed: a witness order k can be a
@@ -359,7 +376,7 @@ def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[Par
                 "decomposition budget exhausted: %d root choices on one level, more than %d"
                 % (choices, _MAX_ROOT_CHOICES)
             )
-        part = _tracked_kernel(list(basis.columns) + [w.h for w in wits], start.n)
+        part = _tracked_extend(basis, [w.h for w in wits])
         children = []
         for rho in level:
             root_lists = [kth_roots(_apply(w.e, rho.constants, sigma), w.k) for w in wits]

@@ -14,22 +14,30 @@ is extended by the new shifts of that degree rather than recomputed.
 
 The certificate is the only Buchberger pass, and a completion tracks
 nothing.  The expressions of the basis over the generators g_1..g_s and
-the Z[x]-relations among them come from one completion of the stacked
-columns (e_l, g_l) in Z[x]^(s+n) (``_tracked_kernel``): as rows are
-compared first, its GHNF holds the GHNF of the g_l, each column above
-its expression, followed by the GHNF of the relations (the elimination
-trick of Adams and Loustaunau, ch. 3; a GHNF is a strong Groebner
-basis over Z, so it applies).
+the Z[x]-relations among them come from the stacked columns (e_l, g_l)
+in Z[x]^(s+n): as rows are compared first, their GHNF holds the GHNF of
+the g_l, each column above its expression, followed by the GHNF of the
+relations (the elimination trick of Adams and Loustaunau, ch. 3; a GHNF
+is a strong Groebner basis over Z, so it applies).  ``gker`` and
+``ghnf_track`` read them off one completion (``_tracked_kernel``).
 
 Extending a GHNF by a few vectors (``extend``, for the rounds of the
-saturations) first tries the basis as it stands.  Each new vector is its
-remainder by the basis plus a vector of the basis's lattice, so the basis
-and the nonzero remainders span the extended lattice.  Their minimal
-leading terms are kept and tail-reduced, which only subtracts multiples
-of other kept columns, so every kept candidate lies in the lattice of
-the result by construction; only the candidates not kept must reduce to
-zero, next to the S-vectors, for Buchberger's test to certify it.  A
-failed test runs the completion on the basis and the remainders.
+saturations and the characters of ``laurent``) first tries the basis as
+it stands.  Each new vector is its remainder by the basis plus a vector
+of the basis's lattice, so the basis and the nonzero remainders span the
+extended lattice.  Their minimal leading terms are kept and tail-reduced,
+which only subtracts multiples of other kept columns, so every kept
+candidate lies in the lattice of the result by construction; only the
+candidates not kept must reduce to zero, next to the S-vectors, for
+Buchberger's test to certify it.  A failed test runs the completion on
+the basis and the remainders.  The vectors may carry s rows of
+expressions above the lattice rows, the stacked columns of a GHNF and of
+the new generators (``_tracked_extend``).  These rows hold no leading
+term, so reduction only updates them; a remainder then needs to be zero
+only past row s, and what it leaves in rows 1..s is a relation.  The
+relations so found generate all of them, as the S-vector syzygies of a
+strong Groebner basis over a PID generate its syzygies (ch. 4), but they
+need not form the kernel's GHNF.
 
 Two reduction conventions coexist on purpose:
 
@@ -471,12 +479,21 @@ def _minimal_chain(keys: list[tuple[int, int, int]]) -> list[int] | None:
     return kept
 
 
-def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec]) -> bool:
-    """Buchberger's test: every input and every same-row S-vector
-    reduces to zero over the basis."""
+def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec], s: int) -> list[LatVec] | None:
+    """Buchberger's test past row s: every input and every same-row
+    S-vector reduces over the basis to a vector that is zero past row s.
+    Returns the nonzero remainders, which live in rows 1..s, or None when
+    the test fails."""
     pairs = (s_vector(f, g) for i, f in enumerate(basis) for g in basis[i + 1 :]
              if f.leading_term().row == g.leading_term().row)
-    return not any(_reduce(v, basis, False)[0] for v in chain(inputs, pairs))
+    rels = []
+    for v in chain(inputs, pairs):
+        r = _reduce(v, basis, False)[0]
+        if r:
+            if any(r.entries[s:]):
+                return None
+            rels.append(r)
+    return rels
 
 
 def _tail_reduced(basis: list[LatVec]) -> list[LatVec]:
@@ -527,7 +544,7 @@ def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
             basis = _tail_reduced([LatVec(IntPoly(h[k][r * width : (r + 1) * width])
                                           for r in range(n)) for k in kept])
             budget -= len(basis)
-            if _certified(basis, vecs):
+            if _certified(basis, vecs, 0) is not None:
                 return basis
         if budget < spent[0] // 20:
             raise RuntimeError(
@@ -553,33 +570,52 @@ def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
     return GhnfBasis(n, _complete([_Input(g) for g in gens if g]))
 
 
-def extend(basis: GhnfBasis, new: Sequence[LatVec]) -> GhnfBasis:
-    """The GHNF of L(basis) + Z[x]*new, without a completion when the
-    basis and the new vectors' remainders already form a Groebner basis.
+def _extend(head: Sequence[LatVec], new: Sequence[LatVec], s: int) -> Sequence[LatVec]:
+    """The relations, then the GHNF past row s, of the lattice of head +
+    new in Z[x]^(s+n), without a completion when a certificate holds.
 
-    The nonzero remainders R of the new vectors by the basis, with
-    positive leading coefficients, span with the basis the same lattice,
-    as each new vector is its remainder plus a vector of L(basis).  When
-    no remainder is nonzero this is the basis itself.  Otherwise the
-    candidates basis + R, in leading-term order, keep the leading terms
-    ``_minimal_chain`` accepts; these are tail-reduced, which only
-    subtracts multiples of the other kept columns and so keeps their
-    lattice, and certified with ``_certified`` against the candidates
-    that were not kept, which alone need not lie in it.  A rejected
-    chain or a failed certificate runs ``_complete`` on basis + R.
+    Rows 1..s carry expressions and hold no leading term; past row s the
+    head columns are a GHNF.  A new vector's remainder by them that is
+    zero past row s is a relation; the other remainders R, with positive
+    leading coefficients, join the head as candidates.  With s = 0 and R
+    empty the head stands; with s > 0 the head's own S-vectors still give
+    its relations.  The candidates, in leading-term order, keep the
+    leading terms ``_minimal_chain`` accepts; these are tail-reduced,
+    which only subtracts multiples of the other kept columns and so keeps
+    their lattice, and certified with ``_certified`` against the
+    candidates that were not kept, which alone need not lie in it.  What
+    the certificate leaves in rows 1..s are relations, and with those of
+    the new vectors they generate all of them (see the module docstring).
+    A rejected chain or a failed certificate runs ``_complete`` on the
+    candidates and the relations; its output has the same shape, as the
+    order compares rows first.
     """
-    new = list(new)
-    _dimension(new, basis.n)
-    rems = [r if r.is_normal() else -r for r in (grem(v, basis) for v in new) if r]
-    if not rems:
-        return basis
-    cands = sorted(list(basis.columns) + rems, key=_lt_key)
+    rems, rels = [], []
+    for v in new:
+        r = _reduce(v, head, False)[0]
+        if r:
+            (rems if any(r.entries[s:]) else rels).append(r if r.is_normal() else -r)
+    if not rems and not s:
+        return head
+    cands = sorted(list(head) + rems, key=_lt_key)
     kept = _minimal_chain([_lt_key(c) for c in cands])
     if kept is not None:
         cols = _tail_reduced([cands[k] for k in kept])
-        if _certified(cols, [c for k, c in enumerate(cands) if k not in kept]):
-            return GhnfBasis(basis.n, cols)
-    return GhnfBasis(basis.n, _complete([_Input(v) for v in cands]))
+        found = _certified(cols, [c for k, c in enumerate(cands) if k not in kept], s)
+        if found is not None:
+            return rels + found + cols
+    return _complete([_Input(v) for v in cands + rels])
+
+
+def extend(basis: GhnfBasis, new: Sequence[LatVec]) -> GhnfBasis:
+    """The GHNF of L(basis) + Z[x]*new, by ``_extend`` with no expression
+    rows: a completion runs only when the basis and the new vectors'
+    remainders fail to certify.  The basis itself when every new vector
+    lies in L(basis)."""
+    new = list(new)
+    _dimension(new, basis.n)
+    cols = _extend(basis.columns, new, 0)
+    return basis if cols is basis.columns else GhnfBasis(basis.n, cols)
 
 
 def ghnf_track(
@@ -590,29 +626,46 @@ def ghnf_track(
     return _tracked_kernel(list(gens), n)[:2]
 
 
-def _tracked_kernel(gens: list[LatVec], n: int | None = None):
-    """(basis, exprs, kernel) from one completion of the columns (e_l, g_l).
+def _stacked(gens: Sequence[LatVec]) -> list[LatVec]:
+    """The columns (e_l, g_l) in Z[x]^(s+n), s = len(gens): the unit
+    vector e_l in rows 1..s above g_l in rows s+1..s+n."""
+    return [LatVec(LatVec.unit(len(gens), l).entries + g.entries) for l, g in enumerate(gens)]
 
-    The stacked columns live in Z[x]^(s+n): the unit vector e_l in rows
-    1..s above g_l in rows s+1..s+n.  Their lattice is {(a, sum a_l g_l)}.
-    Its GHNF splits at row s, as the order compares rows first.  The
-    columns with pivot row past s are (expr_k, b_k): the b_k are ghnf(gens),
-    with the same leading terms and tails reduced by the same columns,
-    and expr_k is b_k over the g_l.  The columns with pivot row at most s
-    are (k, 0), and their k are the GHNF of the Z[x]-relations among the
-    g_l; a zero g_l gives the relation e_l.
+
+def _split(cols: Sequence[LatVec], s: int, n: int):
+    """(basis, exprs, relations) from the stacked lattice's relations
+    followed by its GHNF past row s (``_complete`` or ``_extend`` of
+    ``_stacked(gens)``).
+
+    The lattice is {(a, sum a_l g_l)}.  Its columns with pivot row past s
+    are (expr_k, b_k): the b_k are ghnf(gens), with the same leading terms
+    and tails reduced by the same columns, and expr_k is b_k over the g_l.
+    The columns with pivot row at most s are (k, 0), and their k generate
+    the Z[x]-relations among the g_l; a zero g_l gives the relation e_l.
     """
+    k = sum(1 for c in cols if c.leading_term().row <= s)
+    return (GhnfBasis(n, [LatVec(c.entries[s:]) for c in cols[k:]]),
+            tuple(c.entries[:s] for c in cols[k:]), [LatVec(c.entries[:s]) for c in cols[:k]])
+
+
+def _tracked_kernel(gens: list[LatVec], n: int | None = None):
+    """(basis, exprs, kernel) from one completion of the stacked columns
+    (``_split``); the kernel is the GHNF of the relations, as a GHNF in
+    Z[x]^(s+n) holds the GHNF of its part in the first s rows (the
+    elimination trick of Adams and Loustaunau, ch. 3)."""
     n = _dimension(gens, n)
-    s = len(gens)
-    stacked = [LatVec(LatVec.unit(s, l).entries + g.entries) for l, g in enumerate(gens)]
-    cols = _complete([_Input(v) for v in stacked])
-    split = sum(1 for c in cols if c.leading_term().row <= s)
-    top = cols[split:]
-    return (
-        GhnfBasis(n, [LatVec(c.entries[s:]) for c in top]),
-        tuple(c.entries[:s] for c in top),
-        [LatVec(c.entries[:s]) for c in cols[:split]],
-    )
+    return _split(_complete([_Input(v) for v in _stacked(gens)]), len(gens), n)
+
+
+def _tracked_extend(basis: GhnfBasis, new: Sequence[LatVec]):
+    """(basis', exprs, relations) for the columns of the basis followed by
+    the new vectors, of the same dimension: ``_extend`` of the stacked
+    basis columns by the stacked new vectors, which completes only when
+    its certificate fails (``_split``).  The relations generate the
+    kernel, but need not be its GHNF."""
+    gens = list(basis.columns) + list(new)
+    stacked, r = _stacked(gens), len(basis.columns)
+    return _split(_extend(stacked[:r], stacked[r:], len(gens)), len(gens), basis.n)
 
 
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:

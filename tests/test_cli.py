@@ -198,7 +198,8 @@ def test_internal_failure_exit_3(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(zx, "_complete", fail)
+    # dec-laurent on Example 7.16 reaches no completion, but every step reduces
+    monkeypatch.setattr(zx, "_reduce", fail)
     code, out = call(["dec-laurent"], SYS_716)
     assert code == 3 and out == ""
     err = capsys.readouterr().err

@@ -436,13 +436,15 @@ def test_dimension():
 
 
 def _count_completions(monkeypatch):
-    """Record every `_complete` call and every `_tracked_kernel` call
-    (patched in laurent too) as a hashable key (kind, input vectors)."""
+    """Record every `_complete` call as ("complete", its input vectors)
+    and every `_tracked_kernel` call as ("tracked", its generators), and,
+    per `_tracked_extend` call that laurent makes, its (basis, new
+    supports) and the number of completions it ran."""
     import sigma_binomial.laurent as laurent_mod
     import sigma_binomial.zx_lattice as zx
 
-    keys = []
-    complete, tracked = zx._complete, zx._tracked_kernel
+    keys, extensions = [], []
+    complete, tracked, extend = zx._complete, zx._tracked_kernel, zx._tracked_extend
 
     def counted_complete(inputs, *args, **kwargs):
         keys.append(("complete", tuple(it.vec.entries for it in inputs)))
@@ -452,49 +454,113 @@ def _count_completions(monkeypatch):
         keys.append(("tracked", tuple(g.entries for g in gens)))
         return tracked(gens, *args, **kwargs)
 
+    def counted_extend(basis, new):
+        before = len(keys)
+        out = extend(basis, new)
+        runs = sum(kind == "complete" for kind, _ in keys[before:])
+        extensions.append(((basis.columns, tuple(v.entries for v in new)), runs))
+        return out
+
     monkeypatch.setattr(zx, "_complete", counted_complete)
-    for mod in (zx, laurent_mod):
-        monkeypatch.setattr(mod, "_tracked_kernel", counted_tracked)
-    return keys
+    monkeypatch.setattr(zx, "_tracked_kernel", counted_tracked)
+    monkeypatch.setattr(laurent_mod, "_tracked_extend", counted_extend)
+    return keys, extensions
 
 
 def test_dec_laurent_completes_each_support_set_once(monkeypatch):
-    # criterion-9 seed 13, trial 101: 27 components from a deep branch tree
+    # criterion-9 seed 13, trial 101: 27 components from a deep branch tree;
+    # each level extends its basis once, not once per character on it
     n, system, sigma = list(laurent_systems())[101]
-    keys = _count_completions(monkeypatch)
+    keys, extensions = _count_completions(monkeypatch)
     comps = dec_laurent(system, sigma, n)
     assert len(comps) == 27
-    assert keys and len(set(keys)) == len(keys)
+    args = [a for a, _ in extensions]
+    assert len(args) > 1 and len(set(args)) == len(args)
+    assert all(runs <= 1 for _, runs in extensions)
+    assert len(set(keys)) == len(keys)
 
 
-def test_make_character_one_tracked_completion(monkeypatch):
+def test_make_character_certifies_distinct_leading_rows(monkeypatch):
     sys716, n = parse_laurent_system(SYS_716)
-    keys = _count_completions(monkeypatch)
+    keys, extensions = _count_completions(monkeypatch)
     rho = make_character(sys716, ID, n)
     assert not is_unit(rho)
-    # one tracked kernel, which runs one completion
-    assert [kind for kind, _ in keys] == ["tracked", "complete"]
+    # Example 7.16's supports have distinct leading rows, so one extension
+    # of the empty character certifies them and nothing completes
+    assert [runs for _, runs in extensions] == [0] and keys == []
 
 
-def test_perfect_closure_one_tracked_completion_per_character(monkeypatch):
-    """The closures' only tracked completions are make_character's: the
-    M step's sat_Z comes from the untracked Z loop."""
-    import sigma_binomial.laurent as laurent_mod
-
-    keys = _count_completions(monkeypatch)
-    made = []
-    original = laurent_mod.make_character
-
-    def counted(*args, **kwargs):
-        made.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(laurent_mod, "make_character", counted)
+def test_perfect_closure_at_most_one_completion_per_character(monkeypatch):
+    """Every character of the closures is one extension, which runs at
+    most one completion and none when its certificate holds; nothing
+    runs a tracked kernel, as the M step's sat_Z comes from the untracked
+    Z loop."""
+    keys, extensions = _count_completions(monkeypatch)
     for n, system, _ in laurent_systems():
         for sigma in (ID, CONJ):
             perfect_closure(system, sigma, n)
-    tracked = sum(kind == "tracked" for kind, _ in keys)
-    assert made and tracked == len(made), (tracked, len(made))
+    runs = [r for _, r in extensions]
+    assert not any(kind == "tracked" for kind, _ in keys)
+    assert set(runs) == {0, 1}, runs
+
+
+def _extension_outcome(basis, new, completions):
+    """Check _tracked_extend(basis, new) against _tracked_kernel of the
+    same generators and return how it answered."""
+    import sigma_binomial.zx_lattice as zx
+
+    gens = list(basis.columns) + list(new)
+    before = len(completions)
+    out, exprs, relations = zx._tracked_extend(basis, new)
+    runs = len(completions) - before
+    ref, _, kernel = zx._tracked_kernel(gens, basis.n)
+    assert out == ref, (basis, new)
+    assert ghnf(relations, len(gens)).columns == tuple(kernel), (basis, new)
+    for col, expr in zip(out.columns, exprs):
+        assert sum((q * g for q, g in zip(expr, gens)), LatVec.zero(basis.n)) == col
+    assert runs <= 1
+    if runs:
+        return "completed"
+    return "nothing new" if out == basis else "certified"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [{}, dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)],
+    ids=["default", "larger"],
+)
+def test_tracked_extend_matches_the_tracked_kernel(monkeypatch, family):
+    """Every extension that the perfect closure and dec_laurent make, and
+    each of their bases extended by a lattice vector and a zero vector:
+    the basis is _tracked_kernel's, the relations' GHNF is its kernel and
+    each expression rebuilds its column.  Nothing new, a certificate and
+    one completion each occur."""
+    import sigma_binomial.laurent as laurent_mod
+    import sigma_binomial.zx_lattice as zx
+
+    calls, real_extend, real_complete = {}, zx._tracked_extend, zx._complete
+
+    def recorded(basis, new):
+        calls.setdefault((basis.columns, tuple(new)), (basis, new))
+        return real_extend(basis, new)
+
+    monkeypatch.setattr(laurent_mod, "_tracked_extend", recorded)
+    for n, system, sigma in laurent_systems(**family):
+        for sg in (ID, CONJ) if not family else (sigma,):
+            perfect_closure(system, sg, n)
+            try:
+                dec_laurent(system, sg, n)
+            except RuntimeError as exc:
+                # system 16 of the larger family is refused
+                assert "root choices" in str(exc), system
+    cases = list(calls.values())
+    for basis in {basis.columns: basis for basis, _ in cases if basis.columns}.values():
+        last = basis.columns[-1]
+        cases.append((basis, [last.shift(1) - basis.columns[0], LatVec.zero(basis.n)]))
+    completions = []
+    monkeypatch.setattr(zx, "_complete", lambda *a, **k: completions.append(1) or real_complete(*a, **k))
+    outcomes = {_extension_outcome(basis, new, completions) for basis, new in cases}
+    assert outcomes == {"nothing new", "certified", "completed"}, outcomes
 
 
 def _check_decomposition(n, system, sigma, rng):

@@ -188,8 +188,9 @@ def test_m_step_needs_no_tracked_completion(monkeypatch):
     """sat_m, sat_p, sat_z and is_saturated(..., "p") answer on Examples
     5.22 and 6.23 with tracked completion out of reach, and the
     well-mixed and perfect closures and is_wellmixed on Example 5.22 and
-    y1^(3) - 1 run one tracked completion per make_character; all give
-    the answers they give without the patch."""
+    y1^(3) - 1 run no tracked kernel and at most one completion per
+    character they extend; all give the answers they give without the
+    patch."""
     ex522 = [V("2", "0"), V("x-1", "0"), V("0", "2"), V("0", "x-1")]
     ex623 = [V("x-1", "0"), V("-2", "2"), V("0", "x-1")]
     cases = [(gens, sigma) for gens in (ex522, ex522[::2], ex623) for sigma in (ID, CONJ)]
@@ -200,34 +201,31 @@ def test_m_step_needs_no_tracked_completion(monkeypatch):
                                           "y1^(3) - 1") for sigma in (ID, CONJ)]
     answers = [_wellmixed_answers(text, sigma) for text, sigma in systems]
 
-    real_tracked, real_character = zx_lattice._tracked_kernel, laurent.make_character
-    counts = {"tracked": 0, "characters": 0}
+    real_extend, real_complete = laurent._tracked_extend, zx_lattice._complete
+    completions, runs = [], []
 
     def untracked(*args, **kwargs):
         raise AssertionError("tracked completion in an M step")
 
-    def counted_tracked(*args, **kwargs):
-        counts["tracked"] += 1
-        return real_tracked(*args, **kwargs)
+    def counted_extend(*args):
+        before = len(completions)
+        out = real_extend(*args)
+        runs.append(len(completions) - before)
+        return out
 
-    def counted_character(*args, **kwargs):
-        counts["characters"] += 1
-        return real_character(*args, **kwargs)
-
-    for mod in (zx_lattice, laurent):
-        monkeypatch.setattr(mod, "_tracked_kernel", untracked)
+    monkeypatch.setattr(zx_lattice, "_tracked_kernel", untracked)
+    monkeypatch.setattr(laurent, "_tracked_extend", untracked)
     for (gens, sigma), (m_cols, p_cols), sz in zip(cases, expected, sat_zs):
         assert sat_z(gens, 2) == sz
         assert sat_m(gens, sigma, 2).columns == m_cols
         assert sat_p(gens, sigma, 2).columns == p_cols
         assert is_saturated(ghnf(gens, 2), "p", sigma) == (p_cols == ghnf(gens, 2).columns)
     assert is_saturated(ghnf(ex522, 2), "p", ID) and is_saturated(ghnf(ex623, 2), "p", ID)
-    for mod in (zx_lattice, laurent):
-        monkeypatch.setattr(mod, "_tracked_kernel", counted_tracked)
-    monkeypatch.setattr(laurent, "make_character", counted_character)
+    monkeypatch.setattr(zx_lattice, "_complete", lambda *a, **k: completions.append(1) or real_complete(*a, **k))
+    monkeypatch.setattr(laurent, "_tracked_extend", counted_extend)
     for (text, sigma), answer in zip(systems, answers):
         assert _wellmixed_answers(text, sigma) == answer, (text, sigma)
-    assert counts["tracked"] == counts["characters"] > 0, counts
+    assert runs and max(runs) <= 1, runs
 
 
 def test_extend_equals_ghnf_of_the_union(monkeypatch):
