@@ -137,9 +137,10 @@ def binomial_terms(text: str) -> list[tuple[FieldConst, dict[int, IntPoly]]]:
     return terms
 
 
-def max_var_index(text: str) -> int:
-    """Largest y-index appearing in a binomial listing (0 when none)."""
-    return max((int(m) for m in re.findall(r"y(\d+)", text)), default=0)
+def max_var_index(lines: list[str]) -> int:
+    """Largest y-index in the lines of a binomial listing, comments
+    stripped (0 when none)."""
+    return max((int(m) for line in lines for m in re.findall(r"y(\d+)", line)), default=0)
 
 
 def parse_laurent_binomial(text: str, n: int) -> LaurentBinomial:
@@ -180,7 +181,7 @@ def laurent_binomial_to_str(b: LaurentBinomial) -> str:
 def parse_laurent_system(text: str, n: int | None = None):
     lines = strip_comments(text)
     if n is None:
-        n = max_var_index(text)
+        n = max_var_index(lines)
     return [parse_laurent_binomial(line, n) for line in lines], n
 
 
@@ -244,7 +245,7 @@ def plain_binomial_to_str(b) -> str:
 def parse_plain_system(text: str, n: int | None = None):
     lines = strip_comments(text)
     if n is None:
-        n = max_var_index(text)
+        n = max_var_index(lines)
     return [parse_plain_binomial(line, n) for line in lines], n
 
 
@@ -266,9 +267,9 @@ def laurent_components_to_str(components) -> str:
 
 
 def parse_laurent_components(text: str, sigma, n: int | None = None):
-    if n is None:
-        n = max_var_index(text)
     lines = strip_comments(text)
+    if n is None:
+        n = max_var_index(lines)
     groups: list[list[str]] = []
     for line in lines:
         if line == "component:":

@@ -3,41 +3,41 @@
 The monomial order on Z[x]^n compares row first, then degree, then the
 absolute value of the coefficient.  The output basis of ``ghnf`` is the
 canonical reduced Groebner basis of the lattice (block-structured, the
-"generalized Hermite normal form").  It is computed by linear algebra
-over Z: the integer HNF of the generators' shifts x^j*g up to a degree
-cap, flattened row-major so that a column's HNF pivot is its leading
-term, contains the basis once the cap is large enough.  The columns with
-minimal leading terms are tail-reduced and then certified by
-Buchberger's criterion (every input and every same-row S-vector reduces
-to zero); a failed certificate raises the cap by one, and the last HNF
-is extended by the new shifts of that degree rather than recomputed.
+"generalized Hermite normal form").
 
-The certificate is the only Buchberger pass, and a completion tracks
-nothing.  The expressions of the basis over the generators g_1..g_s and
-the Z[x]-relations among them come from the stacked columns (e_l, g_l)
-in Z[x]^(s+n): as rows are compared first, their GHNF holds the GHNF of
-the g_l, each column above its expression, followed by the GHNF of the
-relations (the elimination trick of Adams and Loustaunau, ch. 3; a GHNF
-is a strong Groebner basis over Z, so it applies).  ``gker`` and
-``ghnf_track`` read them off one completion (``_tracked_kernel``).
+Every GHNF is an extension (``_extend``): of the basis it grows, for the
+rounds of the saturations and the characters of ``laurent``, and of the
+empty basis for ``ghnf``, ``ghnf_track`` and ``gker``.  Each new vector
+is its remainder by the basis plus a vector of the basis's lattice, so
+the basis and the nonzero remainders span the extended lattice.  Their
+minimal leading terms are kept and tail-reduced, which only subtracts
+multiples of other kept columns, so every kept candidate lies in the
+lattice of the result by construction; only the candidates not kept
+must reduce to zero, next to the S-vectors, for Buchberger's test to
+certify it.  That test is the only Buchberger pass.
 
-Extending a GHNF by a few vectors (``extend``, for the rounds of the
-saturations and the characters of ``laurent``) first tries the basis as
-it stands.  Each new vector is its remainder by the basis plus a vector
-of the basis's lattice, so the basis and the nonzero remainders span the
-extended lattice.  Their minimal leading terms are kept and tail-reduced,
-which only subtracts multiples of other kept columns, so every kept
-candidate lies in the lattice of the result by construction; only the
-candidates not kept must reduce to zero, next to the S-vectors, for
-Buchberger's test to certify it.  A failed test runs the completion on
-the basis and the remainders.  The vectors may carry s rows of
-expressions above the lattice rows, the stacked columns of a GHNF and of
-the new generators (``_tracked_extend``).  These rows hold no leading
-term, so reduction only updates them; a remainder then needs to be zero
-only past row s, and what it leaves in rows 1..s is a relation.  The
-relations so found generate all of them, as the S-vector syzygies of a
-strong Groebner basis over a PID generate its syzygies (ch. 4), but they
-need not form the kernel's GHNF.
+When it fails, the extension falls back on the HNF rounds
+(``_complete``), which track nothing.  The integer HNF of the
+candidates' shifts x^j*g up to a degree cap, flattened row-major so that
+a column's HNF pivot is its leading term, contains the basis once the cap
+is large enough.  Its columns with minimal leading terms are
+tail-reduced and certified by the same test; a failed certificate raises
+the cap by one, and the last HNF is extended by the new shifts of that
+degree rather than recomputed.
+
+Expressions over generators g_1..g_s and the Z[x]-relations among them
+come from s rows above the lattice rows: the extension runs on the
+stacked columns (e_l, g_l) in Z[x]^(s+n) (``_tracked_extend``).  These
+rows hold no leading term, so reduction only updates them; a remainder
+then needs to be zero only past row s, and what it leaves in rows 1..s is
+a relation.  The relations so found generate all of them, as the
+S-vector syzygies of a strong Groebner basis over a PID generate its
+syzygies (Adams and Loustaunau, ch. 4), but they need not form the
+kernel's GHNF.  A fallback completion gives more: as rows are compared
+first, its output holds the GHNF of the relations followed by the GHNF
+of the g_l, each column above its expression (the elimination trick,
+ch. 3; a GHNF is a strong Groebner basis over Z, so it applies).  So
+``gker``, the GHNF of the relations, runs at most one completion.
 
 Two reduction conventions coexist on purpose:
 
@@ -428,6 +428,9 @@ def _s_multipliers(f: LatVec, g: LatVec) -> tuple[IntPoly, IntPoly]:
 # bench/layertrace.py keys each completion by its inputs' vec and expr
 _Input = namedtuple("_Input", ["vec", "expr"], defaults=[None])
 
+# The work a completion may spend before it gives up (see ``_complete``).
+_MAX_STEPS = 500000
+
 
 def _precondition(
     vecs: list[LatVec], cap: int, h: list[list[int]], spent: list[int]
@@ -508,9 +511,10 @@ def _tail_reduced(basis: list[LatVec]) -> list[LatVec]:
     return basis
 
 
-def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
-    """The reduced Groebner basis of the nonzero inputs' Z[x]-lattice,
-    by linear algebra, in ascending leading-term order.
+def _complete(inputs: list[_Input]) -> list[LatVec]:
+    """The reduced Groebner basis of the inputs' Z[x]-lattice, by linear
+    algebra, in ascending leading-term order: ``_extend``'s fallback, on
+    its nonzero candidates.
 
     Round b holds the integer HNF of the shifts of the inputs up to the
     degree cap top + b, where top is the largest input degree.  The first
@@ -519,16 +523,14 @@ def _complete(inputs: list[_Input], max_steps: int = 500000) -> list[LatVec]:
     terms are minimal, tail-canonicalizes them (``_tail_reduced``) and
     certifies the result with ``_certified``.  A round whose leading
     coefficients do not form a divisibility chain, or whose certificate
-    fails, moves to the next cap.  A round spends from ``max_steps`` its
+    fails, moves to the next cap.  A round spends from ``_MAX_STEPS`` its
     rows times its new shifts, one step per tail reduction and one per 20
     entries its HNF rewrites; running out raises RuntimeError.
     """
-    if not inputs:
-        return []
     vecs = [it.vec for it in inputs]
     n = vecs[0].n
     cap = max(v.max_degree() for v in vecs)
-    budget = max_steps
+    budget = _MAX_STEPS
     spent = [0]
     h: list[list[int]] = []
     while True:
@@ -563,32 +565,28 @@ def _dimension(gens: list[LatVec], n: int | None) -> int:
     return n
 
 
-def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
-    """Canonical generalized Hermite normal form of the generated lattice."""
-    gens = list(gens)
-    n = _dimension(gens, n)
-    return GhnfBasis(n, _complete([_Input(g) for g in gens if g]))
-
-
 def _extend(head: Sequence[LatVec], new: Sequence[LatVec], s: int) -> Sequence[LatVec]:
     """The relations, then the GHNF past row s, of the lattice of head +
-    new in Z[x]^(s+n), without a completion when a certificate holds.
+    new in Z[x]^(s+n): the one way to compute a GHNF, which completes only
+    when a certificate fails.
 
     Rows 1..s carry expressions and hold no leading term; past row s the
-    head columns are a GHNF.  A new vector's remainder by them that is
-    zero past row s is a relation; the other remainders R, with positive
-    leading coefficients, join the head as candidates.  With s = 0 and R
-    empty the head stands; with s > 0 the head's own S-vectors still give
-    its relations.  The candidates, in leading-term order, keep the
-    leading terms ``_minimal_chain`` accepts; these are tail-reduced,
-    which only subtracts multiples of the other kept columns and so keeps
-    their lattice, and certified with ``_certified`` against the
-    candidates that were not kept, which alone need not lie in it.  What
-    the certificate leaves in rows 1..s are relations, and with those of
-    the new vectors they generate all of them (see the module docstring).
-    A rejected chain or a failed certificate runs ``_complete`` on the
-    candidates and the relations; its output has the same shape, as the
-    order compares rows first.
+    head columns are a GHNF, empty when a GHNF is computed from nothing.
+    A new vector's remainder by them that is zero past row s is a
+    relation; the other remainders R, with positive leading coefficients,
+    join the head as candidates.  With s = 0 and R empty the head stands;
+    with s > 0 the head's own S-vectors still give its relations.  The
+    candidates, in leading-term order, keep the leading terms
+    ``_minimal_chain`` accepts; these are tail-reduced, which only
+    subtracts multiples of the other kept columns and so keeps their
+    lattice, and certified with ``_certified`` against the candidates
+    that were not kept, which alone need not lie in it.  What the
+    certificate leaves in rows 1..s are relations, and with those of the
+    new vectors they generate all of them (see the module docstring).  A
+    rejected chain or a failed certificate runs ``_complete`` on the
+    candidates and the relations, of which there is one at least, as
+    s > 0 or R is not empty; its output has the same shape, as the order
+    compares rows first, and its relations are their GHNF.
     """
     rems, rels = [], []
     for v in new:
@@ -618,12 +616,20 @@ def extend(basis: GhnfBasis, new: Sequence[LatVec]) -> GhnfBasis:
     return basis if cols is basis.columns else GhnfBasis(basis.n, cols)
 
 
+def ghnf(gens: Iterable[LatVec], n: int | None = None) -> GhnfBasis:
+    """Canonical generalized Hermite normal form of the generated lattice:
+    the extension of the empty basis by the generators."""
+    gens = list(gens)
+    return extend(GhnfBasis(_dimension(gens, n), []), gens)
+
+
 def ghnf_track(
     gens: Sequence[LatVec], n: int | None = None
 ) -> tuple[GhnfBasis, tuple[tuple[IntPoly, ...], ...]]:
-    """ghnf plus, per output column, its Z[x]-expression over the inputs
-    (``_tracked_kernel``)."""
-    return _tracked_kernel(list(gens), n)[:2]
+    """ghnf plus, per output column, its Z[x]-expression over the inputs:
+    the tracked extension of the empty basis (``_tracked_extend``)."""
+    gens = list(gens)
+    return _tracked_extend(GhnfBasis(_dimension(gens, n), []), gens)[:2]
 
 
 def _stacked(gens: Sequence[LatVec]) -> list[LatVec]:
@@ -634,8 +640,7 @@ def _stacked(gens: Sequence[LatVec]) -> list[LatVec]:
 
 def _split(cols: Sequence[LatVec], s: int, n: int):
     """(basis, exprs, relations) from the stacked lattice's relations
-    followed by its GHNF past row s (``_complete`` or ``_extend`` of
-    ``_stacked(gens)``).
+    followed by its GHNF past row s (``_extend`` of ``_stacked(gens)``).
 
     The lattice is {(a, sum a_l g_l)}.  Its columns with pivot row past s
     are (expr_k, b_k): the b_k are ghnf(gens), with the same leading terms
@@ -648,21 +653,12 @@ def _split(cols: Sequence[LatVec], s: int, n: int):
             tuple(c.entries[:s] for c in cols[k:]), [LatVec(c.entries[:s]) for c in cols[:k]])
 
 
-def _tracked_kernel(gens: list[LatVec], n: int | None = None):
-    """(basis, exprs, kernel) from one completion of the stacked columns
-    (``_split``); the kernel is the GHNF of the relations, as a GHNF in
-    Z[x]^(s+n) holds the GHNF of its part in the first s rows (the
-    elimination trick of Adams and Loustaunau, ch. 3)."""
-    n = _dimension(gens, n)
-    return _split(_complete([_Input(v) for v in _stacked(gens)]), len(gens), n)
-
-
 def _tracked_extend(basis: GhnfBasis, new: Sequence[LatVec]):
     """(basis', exprs, relations) for the columns of the basis followed by
     the new vectors, of the same dimension: ``_extend`` of the stacked
     basis columns by the stacked new vectors, which completes only when
     its certificate fails (``_split``).  The relations generate the
-    kernel, but need not be its GHNF."""
+    kernel; they are its GHNF when the extension completed."""
     gens = list(basis.columns) + list(new)
     stacked, r = _stacked(gens), len(basis.columns)
     return _split(_extend(stacked[:r], stacked[r:], len(gens)), len(gens), basis.n)
@@ -723,9 +719,15 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:
     """The GHNF of {X in Z[x]^s | M X = 0} for the matrix M with these
-    columns, read off one completion of the columns (e_l, g_l)
-    (``_tracked_kernel``)."""
-    return _tracked_kernel(list(columns))[2]
+    columns: the GHNF of the relations that the tracked extension of the
+    empty basis by the columns finds (``_tracked_extend``).  When that
+    extension completes, its relations already are the kernel's GHNF and
+    certify, so at most one completion runs."""
+    columns = list(columns)
+    rels = _tracked_extend(GhnfBasis(_dimension(columns, None), []), columns)[2]
+    # ghnf's own body, so that bench/layertrace.py's count of ghnf calls
+    # leaves the kernels out
+    return list(extend(GhnfBasis(len(columns), []), rels).columns)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_exhausted_budget_exit_3(monkeypatch, capsys):
     # step runs out after the first
     import sigma_binomial.zx_lattice as zx
 
-    monkeypatch.setattr(zx._complete, "__defaults__", (1,))
+    monkeypatch.setattr(zx, "_MAX_STEPS", 1)
     code, out = call(["ghnf"], "-2, -2*x^2-3*x+5\n2*x^2+3*x+3, 3\n")
     assert code == 3 and out == ""
     err = capsys.readouterr().err
@@ -277,6 +277,15 @@ def test_decomposition_unit_exit_1(cmd):
     assert (code, out) == (1, "unit\n")
     code, out = call([cmd, "--json"], "y1 - 1\ny1 - 2\n")
     assert code == 1 and json.loads(out) == {"unit": True}
+
+
+@pytest.mark.parametrize("cmd, inp, comment", [
+    ("dimension", "y1 - 1\n", "# y3\n"),
+    ("dec-binomial", "y1*y2 - 1\n", "# y4\n"),
+])
+def test_comment_names_no_variable(cmd, inp, comment):
+    # the number of variables comes from the binomials, not from comments
+    assert call([cmd], comment + inp) == call([cmd], inp)
 
 
 @pytest.mark.parametrize("args, inp, var, n", [

@@ -436,33 +436,27 @@ def test_dimension():
 
 
 def _count_completions(monkeypatch):
-    """Record every `_complete` call as ("complete", its input vectors)
-    and every `_tracked_kernel` call as ("tracked", its generators), and,
-    per `_tracked_extend` call that laurent makes, its (basis, new
-    supports) and the number of completions it ran."""
+    """Record every `_complete` call as its input vectors and, per
+    `_tracked_extend` call that laurent makes, its (basis, new supports)
+    and the number of completions it ran."""
     import sigma_binomial.laurent as laurent_mod
     import sigma_binomial.zx_lattice as zx
 
     keys, extensions = [], []
-    complete, tracked, extend = zx._complete, zx._tracked_kernel, zx._tracked_extend
+    complete, extend = zx._complete, zx._tracked_extend
 
-    def counted_complete(inputs, *args, **kwargs):
-        keys.append(("complete", tuple(it.vec.entries for it in inputs)))
-        return complete(inputs, *args, **kwargs)
-
-    def counted_tracked(gens, *args, **kwargs):
-        keys.append(("tracked", tuple(g.entries for g in gens)))
-        return tracked(gens, *args, **kwargs)
+    def counted_complete(inputs):
+        keys.append(tuple(it.vec.entries for it in inputs))
+        return complete(inputs)
 
     def counted_extend(basis, new):
         before = len(keys)
         out = extend(basis, new)
-        runs = sum(kind == "complete" for kind, _ in keys[before:])
+        runs = len(keys) - before
         extensions.append(((basis.columns, tuple(v.entries for v in new)), runs))
         return out
 
     monkeypatch.setattr(zx, "_complete", counted_complete)
-    monkeypatch.setattr(zx, "_tracked_kernel", counted_tracked)
     monkeypatch.setattr(laurent_mod, "_tracked_extend", counted_extend)
     return keys, extensions
 
@@ -493,27 +487,33 @@ def test_make_character_certifies_distinct_leading_rows(monkeypatch):
 def test_perfect_closure_at_most_one_completion_per_character(monkeypatch):
     """Every character of the closures is one extension, which runs at
     most one completion and none when its certificate holds; nothing
-    runs a tracked kernel, as the M step's sat_Z comes from the untracked
-    Z loop."""
+    runs a tracked kernel (``gker`` or ``ghnf_track``), as the M step's
+    sat_Z comes from the untracked Z loop."""
+    import sigma_binomial.zx_lattice as zx
+
     keys, extensions = _count_completions(monkeypatch)
+
+    def untracked(*args):
+        raise AssertionError("tracked kernel in a closure")
+
+    monkeypatch.setattr(zx, "_tracked_extend", untracked)
     for n, system, _ in laurent_systems():
         for sigma in (ID, CONJ):
             perfect_closure(system, sigma, n)
     runs = [r for _, r in extensions]
-    assert not any(kind == "tracked" for kind, _ in keys)
     assert set(runs) == {0, 1}, runs
 
 
 def _extension_outcome(basis, new, completions):
-    """Check _tracked_extend(basis, new) against _tracked_kernel of the
-    same generators and return how it answered."""
+    """Check _tracked_extend(basis, new) against a completion from scratch
+    of the same generators' stacked columns and return how it answered."""
     import sigma_binomial.zx_lattice as zx
 
     gens = list(basis.columns) + list(new)
     before = len(completions)
     out, exprs, relations = zx._tracked_extend(basis, new)
     runs = len(completions) - before
-    ref, _, kernel = zx._tracked_kernel(gens, basis.n)
+    ref, _, kernel = zx._split(zx._complete([zx._Input(v) for v in zx._stacked(gens)]), len(gens), basis.n)
     assert out == ref, (basis, new)
     assert ghnf(relations, len(gens)).columns == tuple(kernel), (basis, new)
     for col, expr in zip(out.columns, exprs):
@@ -532,9 +532,9 @@ def _extension_outcome(basis, new, completions):
 def test_tracked_extend_matches_the_tracked_kernel(monkeypatch, family):
     """Every extension that the perfect closure and dec_laurent make, and
     each of their bases extended by a lattice vector and a zero vector:
-    the basis is _tracked_kernel's, the relations' GHNF is its kernel and
-    each expression rebuilds its column.  Nothing new, a certificate and
-    one completion each occur."""
+    the basis is that of a completion from scratch of the stacked columns,
+    the relations' GHNF is its kernel and each expression rebuilds its
+    column.  Nothing new, a certificate and one completion each occur."""
     import sigma_binomial.laurent as laurent_mod
     import sigma_binomial.zx_lattice as zx
 

@@ -213,7 +213,7 @@ def test_m_step_needs_no_tracked_completion(monkeypatch):
         runs.append(len(completions) - before)
         return out
 
-    monkeypatch.setattr(zx_lattice, "_tracked_kernel", untracked)
+    monkeypatch.setattr(zx_lattice, "_tracked_extend", untracked)
     monkeypatch.setattr(laurent, "_tracked_extend", untracked)
     for (gens, sigma), (m_cols, p_cols), sz in zip(cases, expected, sat_zs):
         assert sat_z(gens, 2) == sz

@@ -73,6 +73,9 @@ def test_laurent_system_and_components_roundtrip():
     comps = dec_laurent(system, ID, n)
     printed = laurent_components_to_str(comps)
     assert parse_laurent_components(printed, ID, n) == comps
+    # a comment names no variable
+    assert parse_laurent_system("# y5\n" + text) == (system, n)
+    assert parse_laurent_components("# y5\n" + printed, ID) == parse_laurent_components(printed, ID)
 
 
 def test_plain_binomial_print_parse():

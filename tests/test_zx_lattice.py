@@ -208,20 +208,53 @@ def test_gker_bounded_completeness():
             assert span is not None and contains(span, x)
 
 
-def test_gker_runs_one_completion(monkeypatch):
-    # the kernel is read off one completion of the stacked columns (e_l, g_l)
+def _count_completions(monkeypatch) -> list:
+    """The list that every later ``_complete`` call appends its inputs to."""
     import sigma_binomial.zx_lattice as zx
 
-    calls = []
-    original = zx._complete
+    calls, original = [], zx._complete
 
-    def counted(inputs, *args, **kwargs):
+    def counted(inputs):
         calls.append([it.vec for it in inputs])
-        return original(inputs, *args, **kwargs)
+        return original(inputs)
 
     monkeypatch.setattr(zx, "_complete", counted)
-    assert gker([V("2", "0"), V("x", "0")])
-    assert calls == [[V("1", "0", "2", "0"), V("0", "1", "x", "0")]]
+    return calls
+
+
+def test_gker_runs_at_most_one_completion(monkeypatch):
+    """The stacked columns (e_l, g_l) of (2, x) certify, and so does their
+    one relation.  On the criterion-9 gker family each kernel runs at most
+    one completion: the extension's, whose relations then certify, or
+    that of relations found by a certificate; both counts occur."""
+    calls = _count_completions(monkeypatch)
+    assert gker([V("2", "0"), V("x", "0")]) == [V("-x", "2")]
+    assert calls == []
+    rng, runs = random.Random(19), set()
+    for _ in range(200):
+        n, s = rng.randint(1, 3), rng.randint(1, 3)
+        cols = [rand_vec(rng, n) for _ in range(s)]
+        before = len(calls)
+        gker(cols)
+        runs.add(len(calls) - before)
+    assert runs == {0, 1}, runs
+
+
+def test_ghnf_certifies_a_ghnf_and_distinct_leading_rows(monkeypatch):
+    """ghnf of a GHNF's own columns, and of generators whose leading rows
+    differ, runs no completion."""
+    calls = _count_completions(monkeypatch)
+    rng = random.Random(27)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        basis = ghnf([rand_vec(rng, n) for _ in range(rng.randint(1, 4))], n)
+        before = len(calls)
+        assert ghnf(basis.columns, n) == basis
+        # one generator per leading row, its leading entry nonzero
+        gens = [LatVec(rand_vec(rng, row, 2, 5).entries + (rand_poly(rng, 2, 5) or IntPoly.const(3),)
+                       + (IntPoly(),) * (n - row - 1)) for row in rng.sample(range(n), rng.randint(1, n))]
+        assert verify_ghnf(ghnf(gens, n))[0]
+        assert len(calls) == before, (basis, gens)
 
 
 def test_member_oracle():
@@ -391,12 +424,14 @@ def test_s_vector_is_multiplier_combination(lattice):
                 assert s == mf * f - mg * g
 
 
-def test_completion_budget_error_names_cap_and_shape():
+def test_completion_budget_error_names_cap_and_shape(monkeypatch):
     from sigma_binomial import zx_lattice as zx
 
     items = [zx._Input(g) for g in (V("-2", "2*x^2+3*x+3"), V("-2*x^2-3*x+5", "3"))]
-    with pytest.raises(RuntimeError, match=r"^completion did not stabilize: degree cap 3, last HNF 8x4$"):
-        zx._complete(items, max_steps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(zx, "_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"^completion did not stabilize: degree cap 3, last HNF 8x4$"):
+            zx._complete(items)
     # the default budget is enough
     assert verify_ghnf(ghnf([it.vec for it in items], 2))[0]
 
