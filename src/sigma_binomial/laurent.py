@@ -180,14 +180,14 @@ def _with_constants(part, consts, sigma: SigmaConfig):
     """The character with these constants on the supports of
     ``part = _tracked_extend(basis, new)``, or UNIT.
 
-    ``part`` is (basis, exprs, relations), and the relations generate
-    the kernel.  As ``pow_zx`` is Z[x]-linear in the exponent, every
+    ``part`` is (basis, exprs, relations, completed), and the relations
+    generate the kernel.  As ``pow_zx`` is Z[x]-linear in the exponent, every
     relation among the supports sends the constants to 1 exactly when
     each generator does; a zero support's relation is e_l, so its
     constant must be 1.  The constant of basis column k is then the
     constants to expr_k, the same for every expression of the column.
     """
-    basis, exprs, kernel = part
+    basis, exprs, kernel, _ = part
     if any(not _apply(k.entries, consts, sigma).is_one() for k in kernel):
         return UNIT
     return PartialCharacter(basis.n, sigma, basis, tuple(_apply(e, consts, sigma) for e in exprs))

@@ -13,7 +13,8 @@ the basis and the nonzero remainders span the extended lattice.  Their
 minimal leading terms are kept and tail-reduced, which only subtracts
 multiples of other kept columns, so every kept candidate lies in the
 lattice of the result by construction; only the candidates not kept
-must reduce to zero, next to the S-vectors, for Buchberger's test to
+must reduce to zero, next to the S-vectors of consecutive columns of a
+row (the chain criterion, see ``_certified``), for Buchberger's test to
 certify it.  That test is the only Buchberger pass.
 
 When it fails, the extension falls back on the HNF rounds
@@ -31,24 +32,35 @@ stacked columns (e_l, g_l) in Z[x]^(s+n) (``_tracked_extend``).  These
 rows hold no leading term, so reduction only updates them; a remainder
 then needs to be zero only past row s, and what it leaves in rows 1..s is
 a relation.  The relations so found generate all of them, as the
-S-vector syzygies of a strong Groebner basis over a PID generate its
-syzygies (Adams and Loustaunau, ch. 4), but they need not form the
-kernel's GHNF.  A fallback completion gives more: as rows are compared
-first, its output holds the GHNF of the relations followed by the GHNF
-of the g_l, each column above its expression (the elimination trick,
-ch. 3; a GHNF is a strong Groebner basis over Z, so it applies).  So
-``gker``, the GHNF of the relations, runs at most one completion.
+lifted S-vector syzygies of a strong Groebner basis over a PID generate
+its syzygies (Adams and Loustaunau, ch. 4; those of consecutive columns
+suffice, see ``_certified``), but they need not form the kernel's GHNF.
+A fallback completion gives more: as rows are compared first, its output
+holds the GHNF of the relations followed by the GHNF of the g_l, each
+column above its expression (the elimination trick, ch. 3; a GHNF is a
+strong Groebner basis over Z, so it applies).  So ``gker`` returns the
+relations of a completed extension as they are, takes the GHNF of the
+others, and runs at most one completion.
 
 Two reduction conventions coexist on purpose:
 
-* the canonical reduction used by ``grem`` and the completion replaces a
-  coefficient by its remainder in [0, c) whenever a column with leading
-  term c*x^beta in the same row and beta <= alpha exists.  This makes the
-  reduced basis unique per lattice and ``ghnf`` deterministic;
+* the canonical reduction (``_reduce``) used by ``grem``, the
+  certificates and the completion replaces a coefficient a*x^alpha by its
+  remainder in [0, c) whenever a column with leading term c*x^beta in the
+  same row and beta <= alpha exists, reducing by the applicable column of
+  least |c|, then greatest beta, then lowest index.  This makes the
+  reduced basis unique per lattice and ``ghnf`` deterministic.  A column
+  set's choices are compiled once, per row and degree, into a
+  ``_pivot_table``, so each coefficient costs one lookup, and a vector
+  that needs no reduction comes back as it is.  A ``GhnfBasis`` builds its
+  table on first use and keeps it, for ``grem``, ``contains``, the
+  characters' values and an ``extend`` of it; a certificate builds one
+  for the basis it certifies;
 * the membership-style reducibility test used by ``verify_ghnf`` only
-  flags a monomial when |a| >= |c|, which is the weakest reading of
-  "multiple of the leading term" and accepts bases whose small negative
-  coefficients were left alone.
+  flags a monomial when |a| >= |c| for some applicable pivot, which is
+  the weakest reading of "multiple of the leading term" and accepts
+  bases whose small negative coefficients were left alone.  It reads
+  the pivots from a plain list per row, as they are given.
 
 Both agree on the central fact: a vector reduces to zero exactly when it
 lies in the lattice.
@@ -213,10 +225,11 @@ class GhnfBasis:
     which always returns the canonical reduced basis.
     """
 
-    __slots__ = ("n", "columns", "blocks")
+    __slots__ = ("n", "columns", "blocks", "_pivots")
 
     def __init__(self, n: int, columns: Sequence[LatVec]):
         self.n = n
+        self._pivots = None
         self.columns: tuple[LatVec, ...] = tuple(columns)
         for c in self.columns:
             if c.n != n:
@@ -242,6 +255,12 @@ class GhnfBasis:
     def rank(self) -> int:
         return len(self.blocks)
 
+    def pivot_table(self):
+        """The columns' ``_pivot_table``, built on first use and kept."""
+        if self._pivots is None:
+            self._pivots = _pivot_table(self.columns)
+        return self._pivots
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GhnfBasis)
@@ -263,115 +282,112 @@ class GhnfBasis:
 # Reduction
 
 
-def _pivot_table(cols: Sequence[LatVec]):
-    """row (0-based) -> list of (deg, lc, index) for the columns' leading terms."""
-    table: dict[int, list[tuple[int, int, int]]] = {}
+def _pivot_table(cols: Sequence[LatVec]) -> dict[int, list]:
+    """The columns' pivots, compiled: row (0-based) -> list whose entry d
+    is (|lc|, -deg, index) of the column that reduces a coefficient of
+    degree d in that row, None below the row's first pivot.
+
+    That column is the applicable one (leading term in the row, degree
+    <= d) with the least |lc|, then the greatest degree, then the lowest
+    index.  Degrees past the row's last pivot use the last entry.  As
+    the applicable set only grows with d, one pass over the row's pivots
+    in degree order builds it, in O(columns + largest pivot degree).
+    """
+    pivots: dict[int, list[tuple[int, int, int]]] = {}
     for idx, g in enumerate(cols):
         lt = g.leading_term()
-        table.setdefault(lt.row - 1, []).append((lt.deg, abs(lt.coeff), idx))
+        pivots.setdefault(lt.row - 1, []).append((lt.deg, abs(lt.coeff), idx))
+    table = {}
+    for row, plist in pivots.items():
+        entries, best = [], None
+        for deg, lc, idx in sorted(plist):
+            entries += [best] * (deg - len(entries))
+            best = min(best or (lc, -deg, idx), (lc, -deg, idx))
+        table[row] = entries + [best]
     return table
 
 
-def _is_canonical(v: LatVec, table) -> bool:
-    """Whether no coefficient of v sits outside [0, c) under a pivot."""
-    for row, e in enumerate(v.entries):
-        plist = table.get(row)
-        if not plist:
-            continue
-        for d, a in e.monomials():
-            best = None
-            for dp, lc, _ in plist:
-                if dp <= d and (best is None or lc < best):
-                    best = lc
-            if best is not None and not 0 <= a < best:
-                return False
-    return True
-
-def _reduce(v: LatVec, cols: Sequence[LatVec], track: bool):
-    """Canonical reduction of v by the columns.
+def _reduce(v: LatVec, cols: Sequence[LatVec], table, track: bool):
+    """Canonical reduction of v by the columns, whose ``_pivot_table`` is
+    ``table``.
 
     Returns (r, qs) with v = r + sum(qs[i] * cols[i]).  Every coefficient
     of r sitting under some column's leading term ends up in [0, c) for
-    the smallest applicable leading coefficient c.  qs is None unless
-    track is set.
+    the column the table names, of least leading coefficient c.  r is v
+    itself when v is canonical already.  qs is None unless track is set.
     """
-    n = v.n
-    table = _pivot_table(cols)
-    if _is_canonical(v, table):
-        return v, (tuple(IntPoly() for _ in cols) if track else None)
-    rows = [list(e.coeffs) for e in v.entries]
+    rows = None  # v's coefficient lists, copied at the first reduction
     # coefficient lists of the quotients: d only falls, so each column's
     # first term has its largest shift and no shift repeats
     qs = [[] for _ in cols] if track else None
-
-    for row in range(n - 1, -1, -1):
-        plist = table.get(row)
-        if not plist:
+    for row in range(v.n - 1, -1, -1):
+        piv = table.get(row)
+        if not piv:
             continue
-        d = len(rows[row]) - 1
-        while d >= 0:
-            a = rows[row][d] if d < len(rows[row]) else 0
-            if a:
-                applicable = [(lc, -dp, idx) for (dp, lc, idx) in plist if dp <= d]
-                if applicable:
-                    lc, ndp, idx = min(applicable)
-                    if not 0 <= a < lc:
-                        if cols[idx].leading_term().coeff < 0:
-                            raise AssertionError("reduction requires sign-normalized columns")
-                        q = a // lc
-                        shift = d + ndp  # d - dp
-                        g = cols[idx]
-                        for grow in range(row + 1):
-                            e = g.entries[grow]
-                            if not e:
-                                continue
-                            target = rows[grow]
-                            need = len(e.coeffs) + shift
-                            if len(target) < need:
-                                target.extend([0] * (need - len(target)))
-                            for k, c in enumerate(e.coeffs):
-                                if c:
-                                    target[k + shift] -= q * c
-                        if track:
-                            if not qs[idx]:
-                                qs[idx] = [0] * (shift + 1)
-                            qs[idx][shift] = q
-            d -= 1
-    r = LatVec(IntPoly(cs) for cs in rows)
+        cur = v.entries[row].coeffs if rows is None else rows[row]
+        last = len(piv) - 1
+        for d in range(len(cur) - 1, -1, -1):
+            a = cur[d]
+            best = piv[d if d < last else last]
+            if not a or best is None or 0 <= a < best[0]:
+                continue
+            lc, ndp, idx = best
+            g = cols[idx]
+            if g.leading_term().coeff < 0:
+                raise AssertionError("reduction requires sign-normalized columns")
+            if rows is None:
+                rows = [list(e.coeffs) for e in v.entries]
+                cur = rows[row]
+            q = a // lc
+            shift = d + ndp  # d - dp
+            for grow in range(row + 1):
+                e = g.entries[grow]
+                if not e:
+                    continue
+                target = rows[grow]
+                need = len(e.coeffs) + shift
+                if len(target) < need:
+                    target.extend([0] * (need - len(target)))
+                for k, c in enumerate(e.coeffs):
+                    if c:
+                        target[k + shift] -= q * c
+            if track:
+                if not qs[idx]:
+                    qs[idx] = [0] * (shift + 1)
+                qs[idx][shift] = q
+    r = v if rows is None else LatVec(IntPoly(cs) for cs in rows)
     return r, (tuple(IntPoly(c) for c in qs) if track else None)
+
+
+def _cols_and_table(v: LatVec, basis: "GhnfBasis | Sequence[LatVec]"):
+    """The basis columns and their table, a GhnfBasis's own or built."""
+    if isinstance(basis, GhnfBasis):
+        cols, table = basis.columns, basis.pivot_table()
+    else:
+        cols = tuple(basis)
+        table = _pivot_table(cols)
+    if cols and v.n != cols[0].n:
+        raise DimensionError("vector dimension %d != %d" % (v.n, cols[0].n))
+    return cols, table
 
 
 def grem(v: LatVec, basis: "GhnfBasis | Sequence[LatVec]") -> LatVec:
     """Canonical normal form of v modulo the basis columns."""
-    cols = basis.columns if isinstance(basis, GhnfBasis) else tuple(basis)
-    if cols and v.n != cols[0].n:
-        raise DimensionError("vector dimension %d != %d" % (v.n, cols[0].n))
-    r, _ = _reduce(v, cols, track=False)
-    return r
+    return _reduce(v, *_cols_and_table(v, basis), False)[0]
 
 
 def grem_track(
     v: LatVec, basis: "GhnfBasis | Sequence[LatVec]"
 ) -> tuple[LatVec, tuple[IntPoly, ...]]:
     """Normal form plus the coefficient of each basis column used."""
-    cols = basis.columns if isinstance(basis, GhnfBasis) else tuple(basis)
-    if cols and v.n != cols[0].n:
-        raise DimensionError("vector dimension %d != %d" % (v.n, cols[0].n))
-    return _reduce(v, cols, track=True)
+    return _reduce(v, *_cols_and_table(v, basis), True)
 
 
 def _is_greduced_lenient(v: LatVec, others: Sequence[LatVec]) -> bool:
     """Paper-style G-reducedness: no monomial is |a| >= |c| under a pivot."""
-    table = _pivot_table(others)
-    for row, e in enumerate(v.entries):
-        plist = table.get(row)
-        if not plist:
-            continue
-        for d, a in e.monomials():
-            for dp, lc, _ in plist:
-                if dp <= d and abs(a) >= lc:
-                    return False
-    return True
+    lts = [g.leading_term() for g in others]
+    return not any(lt.row == row + 1 and lt.deg <= d and abs(a) >= abs(lt.coeff)
+                   for row, e in enumerate(v.entries) for d, a in e.monomials() for lt in lts)
 
 
 def s_vector(f: LatVec, g: LatVec) -> LatVec:
@@ -482,16 +498,33 @@ def _minimal_chain(keys: list[tuple[int, int, int]]) -> list[int] | None:
     return kept
 
 
-def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec], s: int) -> list[LatVec] | None:
-    """Buchberger's test past row s: every input and every same-row
-    S-vector reduces over the basis to a vector that is zero past row s.
-    Returns the nonzero remainders, which live in rows 1..s, or None when
-    the test fails."""
-    pairs = (s_vector(f, g) for i, f in enumerate(basis) for g in basis[i + 1 :]
+def _certified(basis: Sequence[LatVec], table, inputs: Sequence[LatVec], s: int) -> list[LatVec] | None:
+    """Buchberger's test past row s: every input and the S-vector of
+    every two consecutive columns of a row reduce over the basis to a
+    vector that is zero past row s.  Returns the nonzero remainders,
+    which live in rows 1..s, or None when the test fails.
+
+    The basis comes in ascending leading-term order, as a chain that
+    ``_minimal_chain`` kept, and the pairs it leaves out cannot fail
+    (Buchberger's chain criterion).  In one row let the columns have
+    leading terms c_1*x^d_1, ..., c_k*x^d_k, with d_i < d_j and c_j | c_i
+    for i < j.  The S-syzygy of columns i < j is
+    sigma_ij = x^(d_j - d_i)*e_i - (c_i/c_j)*e_j, and for i < m < j
+    sigma_ij = x^(d_j - d_m)*sigma_im + (c_i/c_m)*sigma_mj, so the
+    consecutive sigma_(i,i+1) generate every sigma_ij, and columns of
+    different rows have no leading-term syzygy.  Buchberger's criterion
+    over a PID asks only that the S-vectors of a generating set of these
+    syzygies reduce to zero (Adams and Loustaunau, ch. 4), here past row
+    s.  Lifting the same generating set gives generators of all the
+    syzygies (Schreyer, ibid.), so the remainders in rows 1..s, with
+    those of the inputs, still generate all the relations (module
+    docstring).  ``table`` is the basis's ``_pivot_table``.
+    """
+    pairs = (s_vector(f, g) for f, g in zip(basis, basis[1:])
              if f.leading_term().row == g.leading_term().row)
     rels = []
     for v in chain(inputs, pairs):
-        r = _reduce(v, basis, False)[0]
+        r = _reduce(v, basis, table, False)[0]
         if r:
             if any(r.entries[s:]):
                 return None
@@ -499,16 +532,20 @@ def _certified(basis: Sequence[LatVec], inputs: Sequence[LatVec], s: int) -> lis
     return rels
 
 
-def _tail_reduced(basis: list[LatVec]) -> list[LatVec]:
-    """Tail-canonicalize each column by the others, in place.  The
-    canonical form only depends on the others' leading terms, so one
-    pass leaves every tail reduced."""
-    for idx in range(len(basis)):
-        red, _ = _reduce(basis[idx], basis[:idx] + basis[idx + 1 :], False)
-        if _lt_key(red) != _lt_key(basis[idx]):
+def _tail_reduced(basis: list[LatVec], table) -> None:
+    """Tail-canonicalize each column by the others, in place; ``table`` is
+    the basis's ``_pivot_table``, and stays so.  The canonical form only
+    depends on the others' leading terms, which it keeps, so one pass
+    leaves every tail reduced.  The leading terms lie in distinct (row,
+    degree) places, as in a chain that ``_minimal_chain`` kept, so the
+    others' pivots in a column's own row are the table's cut at its
+    leading degree: past it the column has no coefficient there."""
+    for idx, g in enumerate(basis):
+        lt = g.leading_term()
+        red, _ = _reduce(g, basis, {**table, lt.row - 1: table[lt.row - 1][: lt.deg]}, False)
+        if _lt_key(red) != _lt_key(g):
             raise AssertionError("tail reduction moved a leading term")
         basis[idx] = red
-    return basis
 
 
 def _complete(inputs: list[_Input]) -> list[LatVec]:
@@ -543,10 +580,12 @@ def _complete(inputs: list[_Input]) -> list[LatVec]:
         pivots = [pid_linalg._pivot_row(col) for col in h]
         kept = _minimal_chain([(p // width + 1, p % width, h[k][p]) for k, p in enumerate(pivots)])
         if kept is not None:
-            basis = _tail_reduced([LatVec(IntPoly(h[k][r * width : (r + 1) * width])
-                                          for r in range(n)) for k in kept])
+            basis = [LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
+                     for k in kept]
+            table = _pivot_table(basis)
+            _tail_reduced(basis, table)
             budget -= len(basis)
-            if _certified(basis, vecs, 0) is not None:
+            if _certified(basis, table, vecs, 0) is not None:
                 return basis
         if budget < spent[0] // 20:
             raise RuntimeError(
@@ -565,13 +604,15 @@ def _dimension(gens: list[LatVec], n: int | None) -> int:
     return n
 
 
-def _extend(head: Sequence[LatVec], new: Sequence[LatVec], s: int) -> Sequence[LatVec]:
-    """The relations, then the GHNF past row s, of the lattice of head +
-    new in Z[x]^(s+n): the one way to compute a GHNF, which completes only
-    when a certificate fails.
+def _extend(head: Sequence[LatVec], table, new: Sequence[LatVec], s: int):
+    """(cols, completed): the relations, then the GHNF past row s, of the
+    lattice of head + new in Z[x]^(s+n), and whether a completion ran:
+    the one way to compute a GHNF, which completes only when a
+    certificate fails.
 
     Rows 1..s carry expressions and hold no leading term; past row s the
-    head columns are a GHNF, empty when a GHNF is computed from nothing.
+    head columns are a GHNF, empty when a GHNF is computed from nothing,
+    and ``table`` is their ``_pivot_table``.
     A new vector's remainder by them that is zero past row s is a
     relation; the other remainders R, with positive leading coefficients,
     join the head as candidates.  With s = 0 and R empty the head stands;
@@ -590,19 +631,21 @@ def _extend(head: Sequence[LatVec], new: Sequence[LatVec], s: int) -> Sequence[L
     """
     rems, rels = [], []
     for v in new:
-        r = _reduce(v, head, False)[0]
+        r = _reduce(v, head, table, False)[0]
         if r:
             (rems if any(r.entries[s:]) else rels).append(r if r.is_normal() else -r)
     if not rems and not s:
-        return head
+        return head, False
     cands = sorted(list(head) + rems, key=_lt_key)
     kept = _minimal_chain([_lt_key(c) for c in cands])
     if kept is not None:
-        cols = _tail_reduced([cands[k] for k in kept])
-        found = _certified(cols, [c for k, c in enumerate(cands) if k not in kept], s)
+        cols = [cands[k] for k in kept]
+        table = _pivot_table(cols)
+        _tail_reduced(cols, table)
+        found = _certified(cols, table, [c for k, c in enumerate(cands) if k not in kept], s)
         if found is not None:
-            return rels + found + cols
-    return _complete([_Input(v) for v in cands + rels])
+            return rels + found + cols, False
+    return _complete([_Input(v) for v in cands + rels]), True
 
 
 def extend(basis: GhnfBasis, new: Sequence[LatVec]) -> GhnfBasis:
@@ -612,7 +655,7 @@ def extend(basis: GhnfBasis, new: Sequence[LatVec]) -> GhnfBasis:
     lies in L(basis)."""
     new = list(new)
     _dimension(new, basis.n)
-    cols = _extend(basis.columns, new, 0)
+    cols, _ = _extend(basis.columns, basis.pivot_table(), new, 0)
     return basis if cols is basis.columns else GhnfBasis(basis.n, cols)
 
 
@@ -654,14 +697,15 @@ def _split(cols: Sequence[LatVec], s: int, n: int):
 
 
 def _tracked_extend(basis: GhnfBasis, new: Sequence[LatVec]):
-    """(basis', exprs, relations) for the columns of the basis followed by
-    the new vectors, of the same dimension: ``_extend`` of the stacked
-    basis columns by the stacked new vectors, which completes only when
-    its certificate fails (``_split``).  The relations generate the
-    kernel; they are its GHNF when the extension completed."""
+    """(basis', exprs, relations, completed) for the columns of the basis
+    followed by the new vectors, of the same dimension: ``_extend`` of
+    the stacked basis columns by the stacked new vectors, which completes
+    only when its certificate fails (``_split``).  The relations generate
+    the kernel; they are its GHNF when the extension completed."""
     gens = list(basis.columns) + list(new)
     stacked, r = _stacked(gens), len(basis.columns)
-    return _split(_extend(stacked[:r], stacked[r:], len(gens)), len(gens), basis.n)
+    cols, completed = _extend(stacked[:r], _pivot_table(stacked[:r]), stacked[r:], len(gens))
+    return _split(cols, len(gens), basis.n) + (completed,)
 
 
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:
@@ -719,12 +763,14 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 
 def gker(columns: Sequence[LatVec]) -> list[LatVec]:
     """The GHNF of {X in Z[x]^s | M X = 0} for the matrix M with these
-    columns: the GHNF of the relations that the tracked extension of the
-    empty basis by the columns finds (``_tracked_extend``).  When that
-    extension completes, its relations already are the kernel's GHNF and
-    certify, so at most one completion runs."""
+    columns, from the relations that the tracked extension of the empty
+    basis by the columns finds (``_tracked_extend``).  When that extension
+    completed, they are the kernel's GHNF already and come back as they
+    are; else their GHNF is taken.  So at most one completion runs."""
     columns = list(columns)
-    rels = _tracked_extend(GhnfBasis(_dimension(columns, None), []), columns)[2]
+    rels, completed = _tracked_extend(GhnfBasis(_dimension(columns, None), []), columns)[2:]
+    if completed:
+        return rels
     # ghnf's own body, so that bench/layertrace.py's count of ghnf calls
     # leaves the kernels out
     return list(extend(GhnfBasis(len(columns), []), rels).columns)

@@ -511,8 +511,9 @@ def _extension_outcome(basis, new, completions):
 
     gens = list(basis.columns) + list(new)
     before = len(completions)
-    out, exprs, relations = zx._tracked_extend(basis, new)
+    out, exprs, relations, completed = zx._tracked_extend(basis, new)
     runs = len(completions) - before
+    assert completed == (runs == 1), (basis, new)
     ref, _, kernel = zx._split(zx._complete([zx._Input(v) for v in zx._stacked(gens)]), len(gens), basis.n)
     assert out == ref, (basis, new)
     assert ghnf(relations, len(gens)).columns == tuple(kernel), (basis, new)

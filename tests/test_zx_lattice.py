@@ -110,6 +110,9 @@ def test_verify_ghnf():
     assert verify_ghnf([V("9*x+3"), V("3*x^2+4*x+1")])[0]
     ok, problems = verify_ghnf([V("2"), V("4")])
     assert not ok and problems
+    # x^2+x holds x under the pivot x, a coefficient at its leading one
+    ok, problems = verify_ghnf([V("x"), V("x^2+x")])
+    assert not ok and problems == ["column 1 is not G-reduced against the others"]
     # the C_- illustration matrix is not a GHNF: an S-vector fails
     ok, _ = verify_ghnf(
         [V("6", "0"), V("3*x", "0"), V("0", "6"), V("3", "3*x"), V("2*x", "x^3+x")]
@@ -225,18 +228,32 @@ def _count_completions(monkeypatch) -> list:
 def test_gker_runs_at_most_one_completion(monkeypatch):
     """The stacked columns (e_l, g_l) of (2, x) certify, and so does their
     one relation.  On the criterion-9 gker family each kernel runs at most
-    one completion: the extension's, whose relations then certify, or
-    that of relations found by a certificate; both counts occur."""
-    calls = _count_completions(monkeypatch)
+    one completion: the extension's, whose relations gker then returns
+    with no certificate after it, or that of relations found by a
+    certificate; both counts occur, and each output is its own GHNF."""
+    import sigma_binomial.zx_lattice as zx
+
+    log, complete, certified = [], zx._complete, zx._certified
+
+    def logged_complete(inputs):
+        out = complete(inputs)
+        log.append("completed")
+        return out
+
+    monkeypatch.setattr(zx, "_complete", logged_complete)
+    monkeypatch.setattr(zx, "_certified", lambda *args: log.append("certified") or certified(*args))
     assert gker([V("2", "0"), V("x", "0")]) == [V("-x", "2")]
-    assert calls == []
+    assert "completed" not in log
     rng, runs = random.Random(19), set()
     for _ in range(200):
         n, s = rng.randint(1, 3), rng.randint(1, 3)
         cols = [rand_vec(rng, n) for _ in range(s)]
-        before = len(calls)
-        gker(cols)
-        runs.add(len(calls) - before)
+        log.clear()
+        out = gker(cols)
+        runs.add(log.count("completed"))
+        if "completed" in log:
+            assert log[-1] == "completed", (cols, log)
+        assert ghnf(out, s).columns == tuple(out), cols
     assert runs == {0, 1}, runs
 
 
@@ -255,6 +272,111 @@ def test_ghnf_certifies_a_ghnf_and_distinct_leading_rows(monkeypatch):
                        + (IntPoly(),) * (n - row - 1)) for row in rng.sample(range(n), rng.randint(1, n))]
         assert verify_ghnf(ghnf(gens, n))[0]
         assert len(calls) == before, (basis, gens)
+
+
+def _least_pivot_rem(v, cols):
+    """(r, qs) by the rule that canonical reduction follows, one
+    coefficient at a time from the last row and the highest degree down:
+    a coefficient a*x^d in row i with a outside [0, c) is reduced by the
+    column with leading term in row i of degree <= d that is least by
+    (|c|, -degree, index), c its leading coefficient."""
+    lts = [c.leading_term() for c in cols]
+    r, qs = v, [IntPoly() for _ in cols]
+    for row in range(v.n, 0, -1):
+        for d in range(len(r.entries[row - 1].coeffs) - 1, -1, -1):
+            a = r.entries[row - 1].coeff(d)
+            applicable = [(abs(lt.coeff), -lt.deg, idx) for idx, lt in enumerate(lts)
+                          if lt.row == row and lt.deg <= d]
+            if a and applicable:
+                lc, _, idx = min(applicable)
+                if not 0 <= a < lc:
+                    term = IntPoly.term(a // lc, d - lts[idx].deg)
+                    r, qs[idx] = r - term * cols[idx], qs[idx] + term
+    return r, tuple(qs)
+
+
+def test_reduction_follows_the_least_pivot_rule():
+    """grem and grem_track against ``_least_pivot_rem`` on random vectors:
+    by GHNFs, and by unsorted column lists with several pivots per row and
+    repeated leading terms (a column twice, a twin with other entries
+    below its leading term, and twice a column); v = r + sum q_i*c_i."""
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        if trial % 3 == 0:
+            basis = ghnf([rand_vec(rng, n) for _ in range(rng.randint(1, 4))], n)
+            cols = basis.columns
+        else:
+            cols = []
+            for _ in range(rng.randint(1, 5)):
+                g = rand_vec(rng, n, 3, 6)
+                if g:
+                    cols.append(g if g.is_normal() else -g)
+            for g in list(cols):
+                pick = rng.random()
+                row = g.leading_term().row
+                if pick < 0.2:
+                    cols.append(g)
+                elif pick < 0.4:
+                    cols.append(LatVec(rand_vec(rng, row - 1).entries + g.entries[row - 1:]))
+                elif pick < 0.5:
+                    cols.append(2 * g)
+            rng.shuffle(cols)
+            basis = cols
+        for _ in range(3):
+            v = rand_vec(rng, n, 5, 40)
+            r, qs = grem_track(v, basis)
+            assert (r, qs) == _least_pivot_rem(v, list(cols)), (v, cols)
+            assert grem(v, basis) == r
+            assert r + sum((q * c for q, c in zip(qs, cols)), LatVec.zero(n)) == v
+
+
+def _all_pairs_certificate(basis, inputs, s):
+    """Buchberger's test past row s on every same-row pair of columns."""
+    pairs = [s_vector(f, g) for i, f in enumerate(basis) for g in basis[i + 1:]
+             if f.leading_term().row == g.leading_term().row]
+    rels = []
+    for v in list(inputs) + pairs:
+        r = grem(v, list(basis))
+        if any(r.entries[s:]):
+            return None
+        if r:
+            rels.append(r)
+    return rels
+
+
+def test_certificate_of_consecutive_pairs_equals_all_pairs(monkeypatch):
+    """Each certificate that ghnf, extend, ghnf_track and gker run on
+    random inputs, with s = 0 and s > 0 expression rows: it accepts
+    exactly when the test on all same-row pairs does, and its relations
+    then span the same lattice.  Both verdicts occur for both kinds of s,
+    and some basis has a row of three columns or more."""
+    import sigma_binomial.zx_lattice as zx
+
+    seen, certified = set(), zx._certified
+
+    def both(basis, table, inputs, s):
+        out = certified(basis, table, inputs, s)
+        ref = _all_pairs_certificate(basis, inputs, s)
+        assert (out is None) == (ref is None), (basis, inputs, s)
+        if out is not None and s:
+            dim = basis[0].n
+            assert ghnf(out, dim) == ghnf(ref, dim), (basis, inputs, s)
+        rows = [c.leading_term().row for c in basis]
+        seen.add((s > 0, out is not None, max(rows.count(r) for r in rows) >= 3))
+        return out
+
+    monkeypatch.setattr(zx, "_certified", both)
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [rand_vec(rng, n) for _ in range(rng.randint(1, 4))]
+        basis = ghnf(gens, n)
+        extend(basis, [rand_vec(rng, n, 2, 6)])
+        ghnf_track(gens, n)
+        gker(gens)
+    assert {(s, ok) for s, ok, _ in seen} == {(False, False), (False, True), (True, False), (True, True)}
+    assert any(long for _, _, long in seen), seen
 
 
 def test_member_oracle():

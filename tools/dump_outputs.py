@@ -10,6 +10,9 @@ it.  OUT receives one line per output:
 - every output of the ``lattice``, ``saturate``, ``decompose`` and
   ``cli_paper`` benchmark pools, rendered as the benchmark renders it
   (a ``gker`` output is the GHNF of the kernel, so it is canonical too);
+- ``verify_ghnf``'s verdict and messages on the raw generators of each
+  ``lattice``-pool instance, which are no GHNF: once as a list, which it
+  sorts, and once as a ``GhnfBasis`` in the order given;
 - on the criterion-9 saturation family, per seed and trial: the
   ``zfactor`` witnesses (h, k, e) of the input's GHNF, ``sat_z`` with
   its least multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
@@ -221,6 +224,11 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
         for idx, inst in enumerate(gen.POOLS[workload]()):
             op = worker.prepare(sb, cli, inst)
             emit("%s/%d" % (workload, idx), _guard(lambda: op.render(op.call())))
+    for idx, inst in enumerate(gen.POOLS["lattice"]()):
+        gens = [worker._vec(sb, g) for g in inst["gens"]]
+        emit("verify_ghnf/lattice/%d" % idx, _guard(lambda: sb.verify_ghnf(gens)))
+        emit("verify_ghnf/lattice/%d/as_given" % idx,
+             _guard(lambda: sb.verify_ghnf(sb.GhnfBasis(inst["n"], gens))))
 
     sigmas = (sb.SigmaConfig.IDENTITY, sb.SigmaConfig.CONJUGATION)
     for seed in sat_seeds:
