@@ -12,11 +12,18 @@ a proper object was requested, 2 parse or usage error, an unreadable
 input or a failed write of the result, 3 internal failure (an exhausted
 computation budget or a violated internal certificate), which is no
 answer.
+
+The parser is built once per process, on the first ``run`` call, and
+its usage line is formatted then, so it is wrapped at the terminal width
+(``COLUMNS``) of that first call.  ``run`` is not meant for concurrent
+threads: ``parse_intermixed_args`` edits the shared parser while it
+parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,6 +95,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigma-binomial",
@@ -109,6 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kind", choices=["x", "z", "m", "p"],
                         help="saturation to decide (is-saturated only)")
     parser.add_argument("--query", help="binomial to test (member only)")
+    # parse_intermixed_args formats the usage line on every call that
+    # finds none set; setting it here formats it once.
+    parser.usage = parser.format_usage()[len("usage: "):]
     return parser
 
 

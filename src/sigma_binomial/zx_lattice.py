@@ -713,7 +713,8 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
 
     Returns (ok, violations).  The G-reducedness condition uses the
     lenient |a| >= |c| reading, so the matrices printed in the source
-    material (which keep small negative entries) verify unchanged.
+    material (which keep small negative entries) verify unchanged.  A
+    negative leading coefficient is one of the violations returned.
     """
     if not isinstance(basis, GhnfBasis):
         cols = [c for c in basis]
@@ -731,6 +732,12 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
     rows = [b.pivot_row for b in basis.blocks]
     if rows != sorted(set(rows)):
         problems.append("pivot rows not strictly increasing")
+    # The S-vectors reduce by the columns with each negative leading
+    # coefficient negated: that keeps the lattice, and as the pivot rule
+    # picks by |lc|, it keeps the remainders as well.
+    reducer = basis
+    if any(c < 0 for b in basis.blocks for c in b.leading_coeffs):
+        reducer = [-c if c.leading_term().coeff < 0 else c for c in cols]
     for b in basis.blocks:
         if list(b.degrees) != sorted(set(b.degrees)):
             problems.append("block row %d: degrees not strictly increasing" % b.pivot_row)
@@ -745,7 +752,7 @@ def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]
         for j1 in range(b.size):
             for j2 in range(j1 + 1, b.size):
                 s = s_vector(cols[b.start + j1], cols[b.start + j2])
-                if grem(s, basis):
+                if grem(s, reducer):
                     problems.append(
                         "block row %d: S-vector of columns %d,%d does not reduce"
                         % (b.pivot_row, b.start + j1, b.start + j2)

@@ -372,13 +372,58 @@ def test_help_lists_every_command():
         assert call([name, "-h"]) == (0, out)
 
 
-@pytest.mark.parametrize("args", [
+USAGE_ERRORS = [
     [], ["frobnicate"], ["is-saturated"], ["member"], ["ghnf", "--kind", "x"],
     ["charset", "--query", "y1 - 1"], ["ghnf", "--sigma", "bad"], ["ghnf", "--nvars", "x"],
     ["ghnf", "--nvars", "-2"], ["ghnf", "a.txt", "b.txt"], ["ghnf", "--bogus"],
-], ids=lambda a: " ".join(a) or "no-command")
-def test_usage_errors_exit_2(args):
+]
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS, ids=lambda a: " ".join(a) or "no-command")
+def test_usage_errors_exit_2(args, capsys):
     assert call(args, MAT_71) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    # The parser's message follows its usage lines; a negative --nvars
+    # passes the parser, and run rejects it in a line of its own.
+    prefix = "error: --nvars" if args == ["ghnf", "--nvars", "-2"] else "sigma-binomial: error:"
+    assert err[-1].startswith(prefix)
+    assert sum("error:" in line for line in err) == 1
+
+
+_RUN_TWICE = """
+import contextlib, io, json, sys
+from sigma_binomial.cli import run
+results = []
+for argv, inp in json.loads(sys.stdin.read()):
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        sys.stdin = io.StringIO(inp)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_cached_parser_keeps_the_text_of_every_call():
+    """The parser is built once per process: a second ``run`` in the same
+    process prints what the first printed, and both print what a one-shot
+    ``python -m sigma_binomial.cli`` prints, at a narrow terminal width."""
+    src = os.path.dirname(os.path.dirname(sigma_binomial.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="40")
+    cases = [(argv, MAT_71) for argv in [["-h"], ["ghnf", "-h"], *USAGE_ERRORS, ["ghnf"]]]
+    proc = subprocess.run([sys.executable, "-c", _RUN_TWICE], input=json.dumps(cases),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for k, (argv, inp) in enumerate(cases):
+        first, second = results[2 * k], results[2 * k + 1]
+        assert first == second, argv
+        one_shot = subprocess.run([sys.executable, "-m", "sigma_binomial.cli", *argv], input=inp,
+                                  capture_output=True, text=True, env=env, timeout=60)
+        assert [one_shot.returncode, one_shot.stdout, one_shot.stderr] == first, argv
+    # the usage is wrapped at 40 columns: more lines than the 3 it takes at 80
+    assert len(results[0][1].split("\n\n")[0].splitlines()) > 3
 
 
 def test_input_file_after_options_and_options_first(tmp_path):

@@ -120,6 +120,21 @@ def test_verify_ghnf():
     assert not ok
 
 
+@pytest.mark.parametrize("cols", [
+    [V("-2"), V("x+1")],
+    # the raw generators of the benchmark's lattice pool, instance 4
+    [V("-3*x^2+2*x+1", "-8", "-6", "-3"), V("0", "-2*x^2-5*x+8", "-6*x-10", "9*x^2+x+7"),
+     V("9*x^3+6*x^2-6*x", "0", "2*x^2+2*x+7", "5*x^2-7*x+2")],
+], ids=["two-columns", "lattice-4"])
+def test_verify_ghnf_reports_a_negative_leading_coefficient(cols):
+    """A negative leading coefficient in a block of several columns is
+    reported, not raised by the S-vector check's reduction."""
+    for basis in (cols, GhnfBasis(cols[0].n, cols)):
+        ok, problems = verify_ghnf(basis)
+        assert not ok
+        assert any("non-positive leading coefficient" in p for p in problems)
+
+
 def test_rank_contains_lattice_equal():
     m1 = ghnf([V("x", "0"), V("2", "2"), V("0", "x")], 2)
     assert m1.rank == 2
