@@ -15,7 +15,6 @@ from .polyzx import (
     ModPoly,
     NonUnit,
     ext_gcd,
-    mod_reduce,
     poly_from_str,
     poly_to_str,
 )

@@ -35,7 +35,7 @@ from .binomial import Component
 from .constants import SigmaConfig
 from .laurent import PartialCharacter, is_unit
 from .saturation import TrackedBasis
-from .zx_lattice import DimensionError, GhnfBasis
+from .zx_lattice import GhnfBasis
 
 # Input kinds: a matrix, a Laurent binomial system, that system's
 # characteristic set, and a plain binomial system.
@@ -95,6 +95,17 @@ COMMANDS = {
 }
 
 
+def _nvars(text: str) -> int:
+    """The --nvars value: an int of at least 0, else a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
+    return n
+
+
+_nvars.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -112,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sigma", choices=["id", "conj"], default="id",
                         help="transforming automorphism on constants")
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--nvars", type=int,
+    parser.add_argument("--nvars", type=_nvars,
                         help="ambient number of variables (default: inferred)")
     parser.add_argument("--kind", choices=["x", "z", "m", "p"],
                         help="saturation to decide (is-saturated only)")
@@ -132,10 +143,7 @@ def _read(kind: str, path: str, nvars: int | None):
             text = handle.read()
     if kind == MATRIX:
         cols = textio.parse_matrix(text)
-        n = nvars if nvars is not None else (cols[0].n if cols else 0)
-        if any(c.n != n for c in cols):
-            raise DimensionError("mixed dimensions in generators")
-        return cols, n
+        return cols, zx_lattice._dimension(cols, nvars)
     if kind == PLAIN:
         return textio.parse_plain_system(text, nvars)
     return textio.parse_laurent_system(text, nvars)
@@ -194,8 +202,6 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     sigma = SigmaConfig(args.sigma)
     try:
-        if args.nvars is not None and args.nvars < 0:
-            raise ValueError("--nvars must be at least 0, got %d" % args.nvars)
         data, n = _read(kind, args.input, args.nvars)
         if args.query is not None:  # before make_character, which may answer unit
             args.query = textio.parse_laurent_binomial(args.query, n)

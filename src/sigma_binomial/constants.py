@@ -97,11 +97,8 @@ class FieldConst:
         inv = tuple((p, -e) for p, e in other.factors)
         return FieldConst(self.factors + inv, self.turn - other.turn)
 
-    def __pow__(self, k: int) -> "FieldConst":
+    def __pow__(self, k: int | Fraction) -> "FieldConst":
         return FieldConst(((p, e * k) for p, e in self.factors), self.turn * k)
-
-    def scale_exponents(self, q: Fraction) -> "FieldConst":
-        return FieldConst(((p, e * q) for p, e in self.factors), self.turn * q)
 
     def __repr__(self) -> str:
         return "FieldConst(%r)" % const_to_str(self)
@@ -167,9 +164,7 @@ def const_from_str(text: str) -> FieldConst:
             base = int(m.group(1))
             if base < 2:
                 raise ValueError("radical base must be at least 2: %r" % factor)
-            out = out * FieldConst.from_rational(base).scale_exponents(
-                Fraction(m.group(2))
-            )
+            out = out * FieldConst.from_rational(base) ** Fraction(m.group(2))
             continue
         m = _ZETA_RE.match(factor)
         if m:

@@ -1,9 +1,12 @@
 """Exact univariate polynomial arithmetic over Z and over the rings Z_m.
 
 Polynomials are dense coefficient sequences indexed by degree, with
-trailing zeros trimmed.  Everything here is immutable and uses Python's
-arbitrary-precision integers; degrees at the scale this library targets
-are tiny, so no fast multiplication is attempted.
+trailing zeros trimmed.  One dense core, ``_DensePoly``, holds the ring
+operations; its two subclasses fix the coefficient ring: ``IntPoly``
+over Z, and ``ModPoly`` over Z_m, which reduces every coefficient mod m
+and refuses to mix moduli.  Everything here is immutable and uses
+Python's arbitrary-precision integers; degrees at the scale this library
+targets are tiny, so no fast multiplication is attempted.
 """
 
 from __future__ import annotations
@@ -240,8 +243,11 @@ def prime_factors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-class IntPoly:
-    """A univariate polynomial over Z; coeffs[k] is the coefficient of x^k."""
+class _DensePoly:
+    """A dense polynomial: the coefficient tuple and the ring operations
+    that IntPoly and ModPoly share.  Each result is built by the
+    subclass's ``_new(coeffs, other=None)``, which fixes the coefficient
+    ring; ``other`` is the second operand, if any."""
 
     __slots__ = ("coeffs",)
 
@@ -250,16 +256,6 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
-
-    @classmethod
-    def const(cls, a: int) -> "IntPoly":
-        return cls((a,))
-
-    @classmethod
-    def term(cls, coeff: int, deg: int) -> "IntPoly":
-        if coeff == 0:
-            return cls()
-        return cls((0,) * deg + (coeff,))
 
     @property
     def degree(self):
@@ -272,48 +268,65 @@ class IntPoly:
             raise DegenerateInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
+    def __add__(self, other: "_DensePoly") -> "_DensePoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return self._new(out, other)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+    def __neg__(self) -> "_DensePoly":
+        return self._new(-c for c in self.coeffs)
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
+    def __sub__(self, other: "_DensePoly") -> "_DensePoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "IntPoly":
+    def __mul__(self, other) -> "_DensePoly":
         if isinstance(other, int):
-            return IntPoly(other * c for c in self.coeffs)
-        if not isinstance(other, IntPoly):
+            return self._new(other * c for c in self.coeffs)
+        if not isinstance(other, type(self)):
             return NotImplemented
-        if not self or not other:
-            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return self._new(out, other)
 
     __rmul__ = __mul__
+
+
+class IntPoly(_DensePoly):
+    """A univariate polynomial over Z; coeffs[k] is the coefficient of x^k."""
+
+    __slots__ = ()
+
+    def _new(self, coeffs: Iterable[int], other=None) -> "IntPoly":
+        return IntPoly(coeffs)
+
+    @classmethod
+    def const(cls, a: int) -> "IntPoly":
+        return cls((a,))
+
+    @classmethod
+    def term(cls, coeff: int, deg: int) -> "IntPoly":
+        if coeff == 0:
+            return cls()
+        return cls((0,) * deg + (coeff,))
+
+    def coeff(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(("IntPoly", self.coeffs))
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x^k; negative k divides exactly or raises."""
@@ -352,34 +365,26 @@ class IntPoly:
         return poly_to_str(self)
 
 
-X = IntPoly((0, 1))
-
-
-class ModPoly:
+class ModPoly(_DensePoly):
     """A univariate polynomial over Z_m for any m > 1, kept as ``p``; a
-    divisor whose leading coefficient is not a unit raises NonUnit."""
+    divisor whose leading coefficient is not a unit raises NonUnit.
+    ``ModPoly(m, a.coeffs)`` reduces an IntPoly a mod m."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p",)
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         self.p = p
+        # trimmed here, not by the base constructor: one call fewer per
+        # polynomial, of which the Z_m[x] HNF builds thousands
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        self.coeffs = tuple(cs)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise DegenerateInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def _new(self, coeffs: Iterable[int], other=None) -> "ModPoly":
+        if other is not None and other.p != self.p:
+            raise DegenerateInput("mixed moduli %d and %d" % (self.p, other.p))
+        return ModPoly(self.p, coeffs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -391,43 +396,8 @@ class ModPoly:
     def __hash__(self) -> int:
         return hash(("ModPoly", self.p, self.coeffs))
 
-    def _check(self, other: "ModPoly") -> None:
-        if self.p != other.p:
-            raise DegenerateInput("mixed moduli %d and %d" % (self.p, other.p))
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ModPoly(self.p, out)
-
-    def __neg__(self) -> "ModPoly":
-        return ModPoly(self.p, (-c for c in self.coeffs))
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ModPoly":
-        if isinstance(other, int):
-            return ModPoly(self.p, (other * c for c in self.coeffs))
-        self._check(other)
-        if not self or not other:
-            return ModPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ModPoly(self.p, out)
-
-    __rmul__ = __mul__
-
     def __divmod__(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
-        self._check(other)
+        self._new((), other)  # mixed moduli raise before any inverse is taken
         if not other:
             raise DivisionByZero("division by zero polynomial")
         p = self.p
@@ -454,11 +424,6 @@ class ModPoly:
 
     def __str__(self) -> str:
         return poly_to_str(self.lift())
-
-
-def mod_reduce(a: IntPoly, p: int) -> ModPoly:
-    """Reduce an integer polynomial mod p > 1."""
-    return ModPoly(p, a.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from math import gcd, prod
 
 from . import pid_linalg
 from .constants import SigmaConfig
-from .polyzx import IntPoly, NonUnit, _trial_divide, mod_reduce
+from .polyzx import IntPoly, ModPoly, NonUnit, _trial_divide
 from .zx_lattice import GhnfBasis, LatVec, extend, ghnf, grem
 
 __all__ = [
@@ -142,7 +142,7 @@ def _zfactor_prime(basis: GhnfBasis, m: int) -> list[SatWitnessZ]:
     """
     cols = basis.columns
     try:
-        b, t = pid_linalg.hnf_modpoly([[mod_reduce(a, m) for a in c.entries] for c in cols], m)
+        b, t = pid_linalg.hnf_modpoly([[ModPoly(m, a.coeffs) for a in c.entries] for c in cols], m)
     except NonUnit as split:
         return _zfactor_prime(basis, split.factor) or _zfactor_prime(basis, m // split.factor)
     out = []

@@ -259,7 +259,7 @@ def plain_system_to_str(items) -> str:
 
 def laurent_components_to_str(components) -> str:
     blocks = []
-    for i, rho in enumerate(components, 1):
+    for rho in components:
         lines = ["component:"]
         lines.extend(laurent_binomial_to_str(b) for b in rho.binomials)
         blocks.append("\n".join(lines))

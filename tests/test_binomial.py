@@ -52,6 +52,17 @@ def test_conversion_examples():
         to_laurent(B("y1*y2", 2))
 
 
+@pytest.mark.parametrize("fplus, fminus, error, message", [
+    # y1 - y1: the two sides share every monomial
+    (LatVec.unit(2, 0), LatVec.unit(2, 0), NotABinomial, "share every monomial"),
+    # y1 - y2: the side with the leading variable y2 must come first
+    (LatVec.unit(2, 0), LatVec.unit(2, 1), ValueError, "canonical order"),
+], ids=["equal-sides", "sides-swapped"])
+def test_to_laurent_rejects_malformed_sides(fplus, fminus, error, message):
+    with pytest.raises(error, match=message):
+        to_laurent(PlainBinomial(fplus, fminus, FieldConst.one()))
+
+
 def test_conversion_roundtrip_randomized():
     rng = random.Random(200)
     pool = [FieldConst.one(), const_from_str("-1"), const_from_str("2"),

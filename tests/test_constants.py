@@ -80,6 +80,20 @@ def test_o_m():
             assert 0 <= v <= m - 1 and gcd(v, m) == 1
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: FieldConst.root_of_unity(0), DegenerateInput),
+    (lambda: FieldConst.root_of_unity(-3, 1), DegenerateInput),
+    (lambda: o_m(0, ID), DegenerateInput),
+    (lambda: o_m(0, CONJ), DegenerateInput),
+    (lambda: const_from_str(""), ValueError),
+    (lambda: const_from_str(" \t"), ValueError),
+], ids=["root-of-unity-0", "root-of-unity-negative", "o_m-0-id", "o_m-0-conj",
+        "const-empty", "const-blank"])
+def test_malformed_input_raises(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_o_compatibility_and_neutrality():
     for m in range(1, 13):
         for k in range(1, 6):

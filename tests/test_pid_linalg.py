@@ -14,13 +14,13 @@ from sigma_binomial.pid_linalg import (
     int_lattice_contains,
     ker_int,
 )
-from sigma_binomial.polyzx import ModPoly, NonUnit, mod_reduce, poly_from_str
+from sigma_binomial.polyzx import ModPoly, NonUnit, poly_from_str
 
 P = poly_from_str
 
 
 def M(p, *cols):
-    return [[mod_reduce(P(s), p) for s in col] for col in cols]
+    return [[ModPoly(p, P(s).coeffs) for s in col] for col in cols]
 
 
 def ker_mod(columns, p):

@@ -1,5 +1,6 @@
 """Tests for exact polynomial arithmetic over Z and Z_p."""
 
+import operator
 import random
 import time
 
@@ -12,7 +13,6 @@ from sigma_binomial.polyzx import (
     IntPoly,
     ModPoly,
     ext_gcd,
-    mod_reduce,
     poly_from_str,
     poly_to_str,
     prime_factors,
@@ -117,10 +117,10 @@ def test_primality_bpsw_branch():
 
 def test_mod_reduce_examples():
     # matrix entry x^2+2x-2 reduces to x^2 over Z_2
-    assert mod_reduce(P("x^2+2*x-2"), 2) == ModPoly(2, (0, 0, 1))
-    assert mod_reduce(P("3*x^2+4*x+1"), 3) == ModPoly(3, (1, 1))
+    assert ModPoly(2, P("x^2+2*x-2").coeffs) == ModPoly(2, (0, 0, 1))
+    assert ModPoly(3, P("3*x^2+4*x+1").coeffs) == ModPoly(3, (1, 1))
     a = P("7*x^3-5*x+2")
-    assert mod_reduce(a, 5).lift() == IntPoly([c % 5 for c in a.coeffs])
+    assert ModPoly(5, a.coeffs).lift() == IntPoly([c % 5 for c in a.coeffs])
 
 
 def test_modpoly_divrem():
@@ -135,6 +135,40 @@ def test_modpoly_divrem():
         divmod(ModPoly(two, (1,)), ModPoly(two))
 
 
+@pytest.mark.parametrize("op, a, b", [
+    (operator.add, ModPoly(3, (1, 1)), ModPoly(5, (2, 1))),
+    (operator.sub, ModPoly(3, (1, 1)), ModPoly(5, (2, 1))),
+    (operator.mul, ModPoly(3, (1, 1)), ModPoly(5, (2, 1))),
+    (operator.mul, ModPoly(3), ModPoly(5)),
+    (divmod, ModPoly(3, (1, 1)), ModPoly(5, (2, 1))),
+    # 2 has no inverse mod 4: the moduli are compared before it is sought
+    (divmod, ModPoly(4, (1, 1)), ModPoly(6, (1, 2))),
+], ids=["add", "sub", "mul", "mul-zero", "divmod", "divmod-non-unit-lead"])
+def test_modpoly_rejects_mixed_moduli(op, a, b):
+    with pytest.raises(DegenerateInput, match="mixed moduli %d and %d" % (a.p, b.p)):
+        op(a, b)
+
+
+@pytest.mark.parametrize("zero", [IntPoly(), IntPoly((0, 0)), ModPoly(3), ModPoly(3, (3, 6))],
+                         ids=["int", "int-trimmed", "mod", "mod-reduced"])
+def test_zero_polynomial_has_no_leading_coefficient(zero):
+    assert not zero and zero.degree == float("-inf")
+    with pytest.raises(DegenerateInput):
+        zero.lead
+
+
+@pytest.mark.parametrize("coeffs", [(), (1,), (1, 1), (0, 2, 1)], ids=["0", "1", "x+1", "x^2+2x"])
+def test_intpoly_never_equals_a_modpoly(coeffs):
+    a, m = IntPoly(coeffs), ModPoly(5, coeffs)
+    assert a.coeffs == m.coeffs
+    assert a != m and m != a
+    assert m.lift() == a and ModPoly(5, a.coeffs) == m
+    # the hash of each is that of its ring's tag and its data
+    assert hash(a) == hash(("IntPoly", coeffs)) and hash(m) == hash(("ModPoly", 5, coeffs))
+    with pytest.raises(TypeError):
+        a * m
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(2024)
     for _ in range(120):
@@ -144,10 +178,12 @@ def test_ring_axioms_randomized():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
-        # mod_reduce is a ring homomorphism
+        # reduction mod p is a ring homomorphism
         for p in (2, 3, 5):
-            assert mod_reduce(a * b, p) == mod_reduce(a, p) * mod_reduce(b, p)
-            assert mod_reduce(a + b, p) == mod_reduce(a, p) + mod_reduce(b, p)
+            ap, bp = ModPoly(p, a.coeffs), ModPoly(p, b.coeffs)
+            assert ModPoly(p, (a * b).coeffs) == ap * bp
+            assert ModPoly(p, (a + b).coeffs) == ap + bp
+            assert ModPoly(p, (a - b).coeffs) == ap - bp
 
 
 def test_divrem_reconstruction_randomized():

@@ -366,6 +366,12 @@ def test_is_saturated_p_needs_sigma():
         is_saturated(ghnf(C71_SAT, 3), "m")
 
 
+@pytest.mark.parametrize("kind", ["q", "xz", ""])
+def test_is_saturated_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match="unknown saturation kind"):
+        is_saturated(ghnf(C71, 3), kind, ID)
+
+
 def test_is_saturated_agrees_with_saturation():
     """On the criterion-9 family, a lattice is k-saturated exactly when
     its k-saturation returns its own GHNF."""

@@ -85,6 +85,27 @@ def test_extend_rejects_mixed_dimensions():
             extend(basis, [V("1", "0"), V("1", "0", "0")])
 
 
+def test_intpoly_times_latvec_scales_each_entry():
+    """IntPoly declines a LatVec operand, so LatVec.__rmul__ answers, as
+    ``saturation.m_shift(sigma) * g`` needs."""
+    v = V("2", "x-1")
+    assert P("x+1") * v == V("2*x+2", "x^2-1") == v * P("x+1")
+    assert 3 * v == V("6", "3*x-3")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: GhnfBasis(2, [V("1", "0"), LatVec.zero(2)]), ZeroVector),
+    (lambda: GhnfBasis(2, [V("1", "0"), V("1")]), DimensionError),
+    (lambda: V("1") + V("1", "0"), DimensionError),
+    (lambda: s_vector(LatVec.zero(1), V("1")), ZeroVector),
+    (lambda: s_vector(V("1"), LatVec.zero(1)), ZeroVector),
+], ids=["basis-zero-column", "basis-wrong-dimension", "latvec-mixed-add",
+        "s-vector-zero-first", "s-vector-zero-second"])
+def test_malformed_input_raises(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_s_vector_cases():
     # pivot rows differ -> zero
     assert not s_vector(V("x", "0"), V("0", "x"))
@@ -133,6 +154,15 @@ def test_verify_ghnf_reports_a_negative_leading_coefficient(cols):
         ok, problems = verify_ghnf(basis)
         assert not ok
         assert any("non-positive leading coefficient" in p for p in problems)
+
+
+@pytest.mark.parametrize("basis, problem", [
+    ([LatVec.zero(2)], "zero vector has no leading term"),
+    (GhnfBasis(2, [V("0", "1"), V("1", "0")]), "pivot rows not strictly increasing"),
+], ids=["zero-vector", "pivot-rows-descending"])
+def test_verify_ghnf_reports_malformed_input(basis, problem):
+    ok, problems = verify_ghnf(basis)
+    assert not ok and problem in problems
 
 
 def test_rank_contains_lattice_equal():
