@@ -6,6 +6,17 @@ multiplication, inversion, k-th roots, and the two automorphisms we
 model: the identity and complex conjugation (which fixes the radical
 part and inverts every root of unity).  Negative rationals are encoded
 through turn = 1/2.
+
+Every ``FieldConst`` is held in one normal form: ``factors`` is a tuple
+of (p, e) sorted by the prime p, with each exponent e a nonzero
+``Fraction``, and ``turn`` is a ``Fraction`` in [0, 1).  So equal
+constants have equal fields, which ``==`` and ``hash`` compare.  The
+constructor brings any input to this form.  The group operations ``*``,
+``/`` and ``**``, ``one``, ``from_rational``, ``root_of_unity`` and
+``kth_roots`` build their results in it directly (``FieldConst._normal``),
+and rely on their operands being in it: as no operand holds a zero
+exponent, a repeated prime or a turn outside [0, 1), each reduces the
+turn once and drops only the exponents that cancel.
 """
 
 from __future__ import annotations
@@ -17,6 +28,9 @@ import sys
 from fractions import Fraction
 
 from .polyzx import DegenerateInput, IntPoly, prime_factors
+
+
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
 class SigmaConfig(enum.Enum):
@@ -53,29 +67,30 @@ class FieldConst:
 
     @classmethod
     def one(cls) -> "FieldConst":
-        return cls()
+        return cls._normal((), _ZERO)
 
     @classmethod
     def from_rational(cls, q) -> "FieldConst":
         q = Fraction(q)
-        if q == 0:
+        if not q:
             raise DegenerateInput("0 is not in the multiplicative group")
-        turn = Fraction(0)
-        if q < 0:
-            q, turn = -q, Fraction(1, 2)
-        factors = {}
-        for value, sign in ((q.numerator, 1), (q.denominator, -1)):
-            for p in prime_factors(value):
+        factors = []
+        # numerator and denominator are coprime: each prime comes up once
+        for value, sign in ((abs(q.numerator), 1), (q.denominator, -1)):
+            for p in prime_factors(value) if value > 1 else ():
+                e = 0
                 while value % p == 0:
-                    factors[p] = factors.get(p, 0) + sign
+                    e += sign
                     value //= p
-        return cls(factors, turn)
+                factors.append((p, Fraction(e)))
+        factors.sort()
+        return cls._normal(tuple(factors), _HALF if q.numerator < 0 else _ZERO)
 
     @classmethod
     def root_of_unity(cls, m: int, k: int = 1) -> "FieldConst":
         if m < 1:
             raise DegenerateInput("root-of-unity order must be positive")
-        return cls((), Fraction(k, m))
+        return cls._normal((), Fraction(k % m, m))
 
     def is_one(self) -> bool:
         return not self.factors and self.turn == 0
@@ -91,14 +106,23 @@ class FieldConst:
         return hash((self.factors, self.turn))
 
     def __mul__(self, other: "FieldConst") -> "FieldConst":
-        return FieldConst(self.factors + other.factors, self.turn + other.turn)
+        factors = self.factors or other.factors
+        if self.factors and other.factors:
+            exps = dict(self.factors)
+            for p, e in other.factors:
+                exps[p] = exps[p] + e if p in exps else e
+            factors = tuple(sorted((p, e) for p, e in exps.items() if e))
+        turn = (self.turn + other.turn) % 1 if self.turn and other.turn else self.turn or other.turn
+        return FieldConst._normal(factors, turn)
 
     def __truediv__(self, other: "FieldConst") -> "FieldConst":
-        inv = tuple((p, -e) for p, e in other.factors)
-        return FieldConst(self.factors + inv, self.turn - other.turn)
+        return self * other ** -1
 
     def __pow__(self, k: int | Fraction) -> "FieldConst":
-        return FieldConst(((p, e * k) for p, e in self.factors), self.turn * k)
+        if not k:
+            return FieldConst.one()
+        turn = self.turn * k % 1 if self.turn else self.turn
+        return FieldConst._normal(tuple((p, e * k) for p, e in self.factors), turn)
 
     def __repr__(self) -> str:
         return "FieldConst(%r)" % const_to_str(self)
@@ -123,14 +147,15 @@ def principal_root(c: FieldConst, k: int) -> FieldConst:
     """The k-th root with every exponent and the turn divided by k."""
     if k < 1:
         raise DegenerateInput("root order must be positive")
-    return FieldConst(((p, e / k) for p, e in c.factors), c.turn / k)
+    return c ** Fraction(1, k)
 
 
 def kth_roots(c: FieldConst, k: int) -> list[FieldConst]:
     """All k-th roots: the principal root times the k-th roots of unity."""
     principal = principal_root(c, k)
+    # the principal turn lies in [0, 1/k), so each sum stays below 1
     return [
-        FieldConst(principal.factors, principal.turn + Fraction(l, k))
+        FieldConst._normal(principal.factors, principal.turn + Fraction(l, k))
         for l in range(k)
     ]
 
@@ -148,13 +173,17 @@ def o_m(m: int, sigma: SigmaConfig) -> int:
 # Text format: '*'-separated factors INT^(RAT), zeta(INT)[^INT], or a bare
 # rational, e.g. "2^(1/2)*zeta(8)^3", "-3", "1/3", "1".
 
-_RADICAL_RE = re.compile(r"^(\d+)\^\((-?\d+(?:/\d+)?)\)$")
+_RADICAL_RE = re.compile(r"^(\d+)\^\((-?\d+)(?:/(\d+))?\)$")
 _ZETA_RE = re.compile(r"^zeta\((\d+)\)(?:\^(-?\d+))?$")
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+
+
+def _rational(num: str, den: str | None) -> Fraction:
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def const_from_str(text: str) -> FieldConst:
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ValueError("empty constant")
     out = FieldConst.one()
@@ -164,7 +193,7 @@ def const_from_str(text: str) -> FieldConst:
             base = int(m.group(1))
             if base < 2:
                 raise ValueError("radical base must be at least 2: %r" % factor)
-            out = out * FieldConst.from_rational(base) ** Fraction(m.group(2))
+            out = out * FieldConst.from_rational(base) ** _rational(m.group(2), m.group(3))
             continue
         m = _ZETA_RE.match(factor)
         if m:
@@ -174,8 +203,9 @@ def const_from_str(text: str) -> FieldConst:
             power = int(m.group(2)) if m.group(2) else 1
             out = out * FieldConst.root_of_unity(order, power)
             continue
-        if _RAT_RE.match(factor):
-            out = out * FieldConst.from_rational(Fraction(factor))
+        m = _RAT_RE.match(factor)
+        if m:
+            out = out * FieldConst.from_rational(_rational(m.group(1), m.group(2)))
             continue
         raise ValueError("malformed constant factor %r" % factor)
     return out

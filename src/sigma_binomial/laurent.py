@@ -104,7 +104,7 @@ def normalize_binomial(
     """Normal form of a*Y^a_exp + b*Y^b_exp."""
     if a_exp.n != b_exp.n:
         raise DimensionError("mixed dimensions in binomial terms")
-    diff = a_exp - b_exp
+    diff = a_exp - b_exp if b_exp else a_exp
     if not diff:
         raise NotABinomial("the two terms share one monomial")
     if diff.is_normal():

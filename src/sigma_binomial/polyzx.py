@@ -272,6 +272,8 @@ class _DensePoly:
         return bool(self.coeffs)
 
     def __add__(self, other: "_DensePoly") -> "_DensePoly":
+        if not isinstance(other, type(self)):
+            return NotImplemented  # so + and - never mix Z[x] and Z_m[x]
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -442,14 +444,14 @@ _TERM_RE = re.compile(
 
 def poly_from_str(text: str) -> IntPoly:
     """Parse the polynomial grammar; raises ValueError on malformed input."""
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
     # split into signed terms
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise ValueError("malformed polynomial %r" % text)
-    out = IntPoly()
+    coeffs = []
     for t in terms:
         m = _TERM_RE.match(t)
         if not m:
@@ -464,8 +466,10 @@ def poly_from_str(text: str) -> IntPoly:
         else:
             c = sign
             d = int(m.group("exp2")) if m.group("exp2") else 1
-        out = out + IntPoly.term(c, d)
-    return out
+        if d >= len(coeffs):
+            coeffs.extend([0] * (d + 1 - len(coeffs)))
+        coeffs[d] += c
+    return IntPoly(coeffs)
 
 
 def poly_to_str(a: IntPoly) -> str:

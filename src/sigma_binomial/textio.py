@@ -16,6 +16,8 @@ from .zx_lattice import GhnfBasis, LatVec
 from .laurent import LaurentBinomial, make_character, normalize_binomial
 
 _VAR_RE = re.compile(r"^y(\d+)(?:\^\((.*)\))?$")
+# shared, as IntPoly is immutable: the exponent of a bare y<i>, and of an absent one
+_ONE_EXP, _ZERO_EXP = IntPoly.const(1), IntPoly()
 
 
 def strip_comments(text: str) -> list[str]:
@@ -28,26 +30,23 @@ def strip_comments(text: str) -> list[str]:
 
 
 def _split_top(s: str, seps: str) -> list[str]:
-    """Split on separators outside parentheses; the separators are kept, at odd indices."""
+    """Split on separators outside parentheses; the separators are kept, at
+    odd indices.  One right after '^' stays in its piece: an exponent's sign."""
     parts = []
-    depth = 0
-    cur = ""
-    for ch in s:
+    depth = start = 0
+    for i, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ValueError("unbalanced parentheses in %r" % s)
-        if depth == 0 and ch in seps:
-            parts.append(cur)
-            parts.append(ch)
-            cur = ""
-        else:
-            cur += ch
+        elif depth == 0 and ch in seps and s[i - 1:i] != "^":
+            parts += (s[start:i], ch)
+            start = i + 1
     if depth:
         raise ValueError("unbalanced parentheses in %r" % s)
-    parts.append(cur)
+    parts.append(s[start:])
     return parts
 
 
@@ -105,8 +104,8 @@ def _term_to_parts(term: str) -> tuple[FieldConst, dict[int, IntPoly]]:
             idx = int(m.group(1)) - 1
             if idx < 0:
                 raise ValueError("variable index must start at 1: %r" % f)
-            e = IntPoly.const(1) if m.group(2) is None else poly_from_str(m.group(2))
-            exps[idx] = exps.get(idx, IntPoly()) + e
+            e = _ONE_EXP if m.group(2) is None else poly_from_str(m.group(2))
+            exps[idx] = exps[idx] + e if idx in exps else e
             continue
         coeff_parts.append(f)
     coeff = const_from_str("*".join(coeff_parts)) if coeff_parts else FieldConst.one()
@@ -117,12 +116,12 @@ def _exps_to_vec(exps: dict[int, IntPoly], n: int) -> LatVec:
     """The exponent vector over y1..yn; a variable past yn is an error."""
     if exps and max(exps) >= n:
         raise ValueError("variable y%d is past the last of n = %d variables" % (max(exps) + 1, n))
-    return LatVec(exps.get(i, IntPoly()) for i in range(n))
+    return LatVec(exps.get(i, _ZERO_EXP) for i in range(n))
 
 
 def binomial_terms(text: str) -> list[tuple[FieldConst, dict[int, IntPoly]]]:
     """Split a binomial line into (signed coefficient, exponents) terms."""
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     parts = _split_top(s, "+-")
     terms = []
     # pieces sit at even indices, each after its sign; an empty piece
@@ -156,7 +155,7 @@ def monomial_to_str(v: LatVec) -> str:
     for i, e in enumerate(v.entries):
         if not e:
             continue
-        if e == IntPoly.const(1):
+        if e == _ONE_EXP:
             parts.append("y%d" % (i + 1))
         else:
             parts.append("y%d^(%s)" % (i + 1, poly_to_str(e)))
@@ -210,11 +209,11 @@ def parse_plain_binomial(text: str, n: int):
         raise ValueError("expected one or two terms in %r" % text)
     (a, e1), (b, e2) = terms
     v1, v2 = _exps_to_vec(e1, n), _exps_to_vec(e2, n)
-    if not v1 - v2:
+    if v1 == v2:
         raise ValueError("the two terms share one monomial: %r" % text)
-    for row in range(n):
-        for k in range(max(len(v1.entries[row].coeffs), len(v2.entries[row].coeffs))):
-            if v1.entries[row].coeff(k) and v2.entries[row].coeff(k):
+    for row, (p, q) in enumerate(zip(v1.entries, v2.entries)):
+        for k, (c1, c2) in enumerate(zip(p.coeffs, q.coeffs)):
+            if c1 and c2:
                 raise ValueError(
                     "terms share the factor y%d^(x^%d); factor it out first: %r"
                     % (row + 1, k, text)

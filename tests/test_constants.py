@@ -14,6 +14,7 @@ from sigma_binomial.constants import (
     kth_roots,
     o_m,
     pow_zx,
+    principal_root,
 )
 from sigma_binomial.polyzx import DegenerateInput, IntPoly, poly_from_str
 
@@ -32,6 +33,56 @@ def test_group_operations():
     assert (z3 / z3).is_one()
     assert (z3**3).is_one()
     assert not z3.is_one()
+
+
+def _rand_const(rng):
+    """Primes up to 13 with exponents p/q, |p| <= 3 and q <= 4, and a turn k/m, m <= 12."""
+    factors = [(p, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+               for p in rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 3))]
+    m = rng.randint(1, 12)
+    return FieldConst(factors, Fraction(rng.randint(0, m - 1), m) if rng.random() < 0.7 else 0)
+
+
+def _assert_normal(c):
+    primes = [p for p, _ in c.factors]
+    assert primes == sorted(set(primes))
+    assert all(type(e) is Fraction and e for _, e in c.factors)
+    assert type(c.turn) is Fraction and 0 <= c.turn < 1
+
+
+def test_group_operations_match_the_constructor():
+    """The arithmetic builds normal forms directly; the normalising
+    constructor, given the unreduced factors and turn, is the oracle."""
+    rng = random.Random(32)
+    powers = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(0)]
+    for _ in range(300):
+        a, b = _rand_const(rng), _rand_const(rng)
+        k = rng.choice(powers)
+        inv = tuple((p, -e) for p, e in b.factors)
+        cases = [
+            (a * b, FieldConst(a.factors + b.factors, a.turn + b.turn)),
+            (a / b, FieldConst(a.factors + inv, a.turn - b.turn)),
+            (a ** k, FieldConst(((p, e * k) for p, e in a.factors), a.turn * k)),
+            (a / a, FieldConst()),
+        ]
+        for got, want in cases:
+            _assert_normal(got)
+            assert got == want and hash(got) == hash(want)
+        r = rng.randint(1, 4)
+        roots = [FieldConst(((p, e / r) for p, e in a.factors), (a.turn + l) / r) for l in range(r)]
+        assert principal_root(a, r) == roots[0] and kth_roots(a, r) == roots
+    for m in range(1, 13):
+        for k in range(-2 * m, 2 * m + 1):
+            z = FieldConst.root_of_unity(m, k)
+            _assert_normal(z)
+            assert z == FieldConst((), Fraction(k, m))
+    for q, want in [(1, FieldConst()), (-1, FieldConst((), Fraction(1, 2))),
+                    (Fraction(-35, 12), FieldConst({2: -2, 3: -1, 5: 1, 7: 1}, Fraction(1, 2)))]:
+        got = FieldConst.from_rational(q)
+        _assert_normal(got)
+        assert got == want
+    _assert_normal(FieldConst.one())
+    assert FieldConst.one() == FieldConst()
 
 
 def test_pow_zx_examples():

@@ -35,18 +35,53 @@ def test_package_reexports_resolve():
         ), name
 
 
+def _load_script(relpath: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / relpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_layers_exist():
     """Every function the benchmark's tracer wraps by name, required or
     optional, is defined in its module: a missing optional one would be
     reported as absent instead of measured."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_layertrace", Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
-    )
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+    layertrace = _load_script("bench/layertrace.py", "bench_layertrace")
     assert layertrace.LAYERS
     for mod_name, fn_name, _required in layertrace.LAYERS:
         mod = importlib.import_module("sigma_binomial." + mod_name)
         assert callable(getattr(mod, fn_name, None)), (mod_name, fn_name)
     for mod_name in layertrace.WHOLE_MODULES:
         importlib.import_module("sigma_binomial." + mod_name)
+
+
+_COUNTED = '''"""A module docstring,
+on two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+class C:
+    """A class docstring."""
+
+    x = 1
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line
+    s = """a string that is
+no docstring"""
+    return x
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path, capsys):
+    """Counted: import, class, x = 1, def, both lines of s, return."""
+    code_lines = _load_script("tools/code_lines.py", "tools_code_lines")
+    assert code_lines.code_lines(_COUNTED) == 7
+    (tmp_path / "a.py").write_text(_COUNTED)
+    (tmp_path / "b.py").write_text("# only a comment\n\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["7", "0", "7"] and lines[-1].endswith("total")

@@ -20,6 +20,7 @@ from sigma_binomial.polyzx import (
     _strong_lucas_probable_prime,
     _strong_probable_prime,
 )
+from sigma_binomial.zx_lattice import LatVec
 
 
 P = poly_from_str
@@ -169,6 +170,21 @@ def test_intpoly_never_equals_a_modpoly(coeffs):
         a * m
 
 
+@pytest.mark.parametrize("op, a, b", [
+    (operator.add, IntPoly((1, 2)), ModPoly(5, (4, 4))),
+    (operator.sub, IntPoly((1, 2)), ModPoly(5, (4, 4))),
+    (operator.add, ModPoly(5, (4, 4)), IntPoly((1, 2))),
+    (operator.sub, ModPoly(5, (4, 4)), IntPoly((1, 2))),
+], ids=["int+mod", "int-mod", "mod+int", "mod-int"])
+def test_mixed_rings_raise_type_error(op, a, b):
+    """+ and - decline an operand of the other ring, as * does.  A declined
+    operand still gets its own turn: IntPoly * LatVec reaches LatVec.__rmul__."""
+    with pytest.raises(TypeError):
+        op(a, b)
+    v = LatVec([IntPoly((1,)), IntPoly((0, 1))])
+    assert IntPoly((0, 1)) * v == LatVec([IntPoly((0, 1)), IntPoly((0, 0, 1))])
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(2024)
     for _ in range(120):
@@ -206,6 +222,8 @@ def test_poly_text_roundtrip():
     for _ in range(100):
         a = IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(0, 6))])
         assert P(poly_to_str(a)) == a
+    # terms of one degree add up, and may cancel
+    assert P("x+1+x-3") == P("2*x-2") and P("x^2+1-x^2") == P("1")
     with pytest.raises(ValueError):
         P("x**2")
     with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
 """Print-then-parse identity for every text format."""
 
 import random
+from datetime import timedelta
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import V, rand_vec
-from sigma_binomial.constants import SigmaConfig, const_from_str
+from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, const_to_str
 from sigma_binomial.polyzx import IntPoly
 from sigma_binomial.zx_lattice import LatVec, ghnf
 from sigma_binomial.laurent import LaurentBinomial, dec_laurent
@@ -64,6 +68,35 @@ def test_laurent_binomial_print_parse():
             v = -v
         b = LaurentBinomial(v, const_from_str(rng.choice(pool)))
         assert parse_laurent_binomial(laurent_binomial_to_str(b), n) == b
+
+
+def test_sign_after_caret_stays_in_its_term():
+    b = parse_laurent_binomial("y1 - zeta(4)^-1", 1)
+    assert b == LaurentBinomial(V("1"), FieldConst.root_of_unity(4, 3))
+    assert laurent_binomial_to_str(b) == "y1 - zeta(4)^3"
+    assert parse_laurent_binomial("zeta(3)^-2*y1^(x) + 1", 1) == parse_laurent_binomial("zeta(3)*y1^(x) + 1", 1)
+    with pytest.raises(ValueError, match=r"malformed constant factor '2\^-1'"):
+        parse_laurent_binomial("y1 - 2^-1", 1)
+
+
+_consts = st.builds(
+    FieldConst,
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=3),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+)
+_supports = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.builds(IntPoly, st.lists(st.integers(-4, 4), max_size=3)), min_size=n, max_size=n,
+).map(LatVec).filter(bool))
+
+
+@seed(32)
+@settings(max_examples=200, deadline=timedelta(seconds=1))
+@given(_consts, _supports)
+def test_constant_and_binomial_text_roundtrip(c, v):
+    assert const_from_str(const_to_str(c)) == c
+    b = LaurentBinomial(v if v.is_normal() else -v, c)
+    assert parse_laurent_binomial(str(b), v.n) == b
 
 
 def test_laurent_system_and_components_roundtrip():
