@@ -170,7 +170,7 @@ def _form(result, as_json: bool):
     if isinstance(result, PartialCharacter):
         if as_json:
             return {"binomials": [str(b) for b in result.binomials]}
-        return textio.laurent_system_to_str(result.binomials) or "# trivial ideal (empty chain)"
+        return textio.system_to_str(result.binomials) or "# trivial ideal (empty chain)"
     # a list: components (never empty, an empty decomposition is the unit
     # ideal) or kernel generators
     if result and isinstance(result[0], PartialCharacter):

@@ -178,8 +178,11 @@ _ZETA_RE = re.compile(r"^zeta\((\d+)\)(?:\^(-?\d+))?$")
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def _rational(num: str, den: str | None) -> Fraction:
-    return Fraction(int(num), int(den) if den else 1)
+def _rational(num: str, den: str | None, factor: str) -> Fraction:
+    d = int(den) if den else 1
+    if not d:
+        raise ValueError("zero denominator in constant factor %r" % factor)
+    return Fraction(int(num), d)
 
 
 def const_from_str(text: str) -> FieldConst:
@@ -193,7 +196,7 @@ def const_from_str(text: str) -> FieldConst:
             base = int(m.group(1))
             if base < 2:
                 raise ValueError("radical base must be at least 2: %r" % factor)
-            out = out * FieldConst.from_rational(base) ** _rational(m.group(2), m.group(3))
+            out = out * FieldConst.from_rational(base) ** _rational(m.group(2), m.group(3), factor)
             continue
         m = _ZETA_RE.match(factor)
         if m:
@@ -205,7 +208,7 @@ def const_from_str(text: str) -> FieldConst:
             continue
         m = _RAT_RE.match(factor)
         if m:
-            out = out * FieldConst.from_rational(_rational(m.group(1), m.group(2)))
+            out = out * FieldConst.from_rational(_rational(m.group(1), m.group(2), factor))
             continue
         raise ValueError("malformed constant factor %r" % factor)
     return out

@@ -3,6 +3,13 @@
 All formats are line oriented; '#'-prefixed lines and blank lines are
 ignored on input.  Printing is canonical, and parsing a printed value
 returns an equal value.
+
+A system lists one binomial per line.  A component listing is a run of
+blocks, a blank line apart.  Each block is a 'component:' line followed
+by its binomials, one per line; in a plain decomposition, a 'zero:' and
+a 'nonzero:' line, each naming variables (as in 'zero: y1 y3'), come
+first.  A listing's number of variables n is the one given, or else the
+largest y-index on its lines, comments stripped.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ from .constants import FieldConst, const_from_str, const_to_str
 from .polyzx import IntPoly, poly_from_str, poly_to_str
 from .zx_lattice import GhnfBasis, LatVec
 from .laurent import LaurentBinomial, make_character, normalize_binomial
+from .binomial import Component, PlainBinomial, to_plain
 
 _VAR_RE = re.compile(r"^y(\d+)(?:\^\((.*)\))?$")
+_BARE_POWER_RE = re.compile(r"^(y\d+)\^([^(].*)$")
 # shared, as IntPoly is immutable: the exponent of a bare y<i>, and of an absent one
 _ONE_EXP, _ZERO_EXP = IntPoly.const(1), IntPoly()
 
@@ -107,6 +116,10 @@ def _term_to_parts(term: str) -> tuple[FieldConst, dict[int, IntPoly]]:
             e = _ONE_EXP if m.group(2) is None else poly_from_str(m.group(2))
             exps[idx] = exps[idx] + e if idx in exps else e
             continue
+        if re.match(r"y\d", f):
+            bare = _BARE_POWER_RE.match(f)
+            hint = ": write %s^(%s)" % bare.groups() if bare else ""
+            raise ValueError("malformed variable power %r%s" % (f, hint))
         coeff_parts.append(f)
     coeff = const_from_str("*".join(coeff_parts)) if coeff_parts else FieldConst.one()
     return coeff, exps
@@ -140,6 +153,18 @@ def max_var_index(lines: list[str]) -> int:
     """Largest y-index in the lines of a binomial listing, comments
     stripped (0 when none)."""
     return max((int(m) for line in lines for m in re.findall(r"y(\d+)", line)), default=0)
+
+
+def _lines_and_n(text: str, n: int | None) -> tuple[list[str], int]:
+    """A listing's lines, comments stripped, and its n: as given, or else
+    the largest y-index."""
+    lines = strip_comments(text)
+    return lines, max_var_index(lines) if n is None else n
+
+
+def system_to_str(items) -> str:
+    """One binomial per line, Laurent or plain."""
+    return "\n".join(str(b) for b in items)
 
 
 def parse_laurent_binomial(text: str, n: int) -> LaurentBinomial:
@@ -178,23 +203,15 @@ def laurent_binomial_to_str(b: LaurentBinomial) -> str:
 
 
 def parse_laurent_system(text: str, n: int | None = None):
-    lines = strip_comments(text)
-    if n is None:
-        n = max_var_index(lines)
+    lines, n = _lines_and_n(text, n)
     return [parse_laurent_binomial(line, n) for line in lines], n
 
 
-def laurent_system_to_str(binomials) -> str:
-    return "\n".join(laurent_binomial_to_str(b) for b in binomials)
-
-
 # ---------------------------------------------------------------------------
-# Plain (non-Laurent) binomials and component listings.
+# Plain (non-Laurent) binomials.
 
 
 def parse_plain_binomial(text: str, n: int):
-    from .binomial import PlainBinomial, to_plain
-
     terms = binomial_terms(text)
     for _, exps in terms:
         for e in exps.values():
@@ -242,33 +259,21 @@ def plain_binomial_to_str(b) -> str:
 
 
 def parse_plain_system(text: str, n: int | None = None):
-    lines = strip_comments(text)
-    if n is None:
-        n = max_var_index(lines)
+    lines, n = _lines_and_n(text, n)
     return [parse_plain_binomial(line, n) for line in lines], n
-
-
-def plain_system_to_str(items) -> str:
-    return "\n".join(plain_binomial_to_str(b) for b in items)
 
 
 # ---------------------------------------------------------------------------
 # Component listings.
 
 
-def laurent_components_to_str(components) -> str:
-    blocks = []
-    for rho in components:
-        lines = ["component:"]
-        lines.extend(laurent_binomial_to_str(b) for b in rho.binomials)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+def _listing(blocks) -> str:
+    """Each block's lines under a 'component:' marker, a blank line apart."""
+    return "\n\n".join("\n".join(["component:", *lines]) for lines in blocks)
 
 
-def parse_laurent_components(text: str, sigma, n: int | None = None):
-    lines = strip_comments(text)
-    if n is None:
-        n = max_var_index(lines)
+def _groups(lines: list[str]) -> list[list[str]]:
+    """The lines under each 'component:' marker."""
     groups: list[list[str]] = []
     for line in lines:
         if line == "component:":
@@ -276,12 +281,18 @@ def parse_laurent_components(text: str, sigma, n: int | None = None):
         elif groups:
             groups[-1].append(line)
         else:
-            raise ValueError("binomial line before any 'component:' marker")
-    out = []
-    for grp in groups:
-        rho = make_character([parse_laurent_binomial(l, n) for l in grp], sigma, n)
-        out.append(rho)
-    return out
+            raise ValueError("%r comes before the first 'component:' marker" % line)
+    return groups
+
+
+def laurent_components_to_str(components) -> str:
+    return _listing(map(laurent_binomial_to_str, rho.binomials) for rho in components)
+
+
+def parse_laurent_components(text: str, sigma, n: int | None = None):
+    lines, n = _lines_and_n(text, n)
+    return [make_character([parse_laurent_binomial(line, n) for line in grp], sigma, n)
+            for grp in _groups(lines)]
 
 
 def _vars_to_str(vars_set) -> str:
@@ -289,37 +300,21 @@ def _vars_to_str(vars_set) -> str:
 
 
 def binomial_components_to_str(components) -> str:
-    blocks = []
-    for comp in components:
-        lines = ["component:"]
-        lines.append(("zero: %s" % _vars_to_str(comp.zero_vars)).rstrip())
-        lines.append(("nonzero: %s" % _vars_to_str(comp.nonzero_vars)).rstrip())
-        lines.extend(plain_binomial_to_str(b) for b in comp.chain)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+    return _listing([("zero: %s" % _vars_to_str(comp.zero_vars)).rstrip(),
+                     ("nonzero: %s" % _vars_to_str(comp.nonzero_vars)).rstrip(),
+                     *map(plain_binomial_to_str, comp.chain)] for comp in components)
 
 
 def parse_binomial_components(text: str, n: int):
-    from .binomial import Component
-
-    lines = strip_comments(text)
-    raw: list[dict] = []
-    for line in lines:
-        if line == "component:":
-            raw.append({"zero": frozenset(), "nonzero": frozenset(), "chain": []})
-            continue
-        if not raw:
-            raise ValueError("content before any 'component:' marker")
-        if line.startswith("zero:"):
-            raw[-1]["zero"] = frozenset(
-                int(tok[1:]) - 1 for tok in line[5:].split()
-            )
-        elif line.startswith("nonzero:"):
-            raw[-1]["nonzero"] = frozenset(
-                int(tok[1:]) - 1 for tok in line[8:].split()
-            )
-        else:
-            raw[-1]["chain"].append(parse_plain_binomial(line, n))
-    return [
-        Component(n, r["zero"], tuple(r["chain"]), r["nonzero"]) for r in raw
-    ]
+    out = []
+    for grp in _groups(strip_comments(text)):
+        sides = {"zero": frozenset(), "nonzero": frozenset()}
+        chain = []
+        for line in grp:
+            key, _, names = line.partition(":")
+            if key in sides:
+                sides[key] = frozenset(int(tok[1:]) - 1 for tok in names.split())
+            else:
+                chain.append(parse_plain_binomial(line, n))
+        out.append(Component(n, sides["zero"], tuple(chain), sides["nonzero"]))
+    return out

@@ -292,3 +292,14 @@ def test_dec_binomial_components_contain_the_input(system):
     for comp in comps:
         for b in items:
             assert member_sat(b, comp, sigma), (str(b), comp)
+
+
+@pytest.mark.parametrize("sigma", [ID, CONJ], ids=["id", "conj"])
+def test_member_sat_of_a_zero_support(sigma):
+    """1 - c, with no variable left, lies in the empty-chain component
+    exactly when c = 1."""
+    [comp] = dec_binomial([], sigma, 1)
+    assert comp.chain == ()
+    for c, expected in ((1, True), (2, False)):
+        b = to_plain(LaurentBinomial(LatVec.zero(1), FieldConst.from_rational(c)))
+        assert member_sat(b, comp, sigma) is expected

@@ -7,12 +7,18 @@ import re
 import subprocess
 import sys
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, seed, settings
 
 import sigma_binomial
+from conftest import laurent_systems
+from test_binomial import plain_systems
+from sigma_binomial.binomial import dec_binomial
 from sigma_binomial.cli import run
 from sigma_binomial.constants import SigmaConfig
+from sigma_binomial.laurent import dec_laurent, is_unit, make_character
 from sigma_binomial.textio import (
     binomial_components_to_str,
     ghnf_to_str,
@@ -20,7 +26,9 @@ from sigma_binomial.textio import (
     matrix_to_str,
     parse_binomial_components,
     parse_laurent_components,
+    parse_laurent_system,
     parse_matrix,
+    system_to_str,
 )
 
 MAT_71 = "-x+2, 3*x+2, 0\n1, 1, 2*x\n1, 2*x+1, x^2\n"
@@ -151,6 +159,38 @@ def test_dec_binomial_roundtrip():
     assert parse_binomial_components(printed, 3) == comps
 
 
+def test_laurent_listings_roundtrip_through_the_cli():
+    """Each criterion-9 system, printed, goes through dec-laurent and
+    charset; the output parses back to the library's answer."""
+    for n, system, sigma in laurent_systems():
+        text, flags = system_to_str(system) + "\n", ["--sigma", sigma.value, "--nvars", str(n)]
+        comps = dec_laurent(system, sigma, n)
+        code, out = call(["dec-laurent", *flags], text)
+        if comps:
+            assert code == 0 and parse_laurent_components(out, sigma, n) == comps, text
+        else:
+            assert (code, out) == (1, "unit\n"), text
+        rho = make_character(system, sigma, n)
+        code, out = call(["charset", *flags], text)
+        if is_unit(rho):
+            assert (code, out) == (1, "unit\n"), text
+        else:
+            assert code == 0 and parse_laurent_system(out, n) == (list(rho.binomials), n), text
+
+
+@seed(33)
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(plain_systems())
+def test_binomial_listings_roundtrip_through_the_cli(system):
+    n, items, sigma = system
+    comps = dec_binomial(items, sigma, n)
+    code, out = call(["dec-binomial", "--sigma", sigma.value, "--nvars", str(n)], system_to_str(items))
+    if comps:
+        assert code == 0 and parse_binomial_components(out, n) == comps
+    else:
+        assert (code, out) == (1, "unit\n")
+
+
 def test_dimension():
     chain = SYS_716 + "y1*y2^(-x)*y3^(x^2) - 1\n"
     code, out = call(["dimension"], chain)
@@ -165,10 +205,13 @@ def test_parse_error_exit_2():
     code, _ = call(["charset"], "y1^() - 1\n")
     assert code == 2  # an empty exponent is not an omitted one
     for line in ("y1^(x - 1", "y1) - 1", "y0 - 1", "y1 - - 1", "y1 -", "y1 + y2 + 1",
-                 "y1 - 1^(1/2)", "y1 - zeta(0)", "y1^(1--2) - 1"):
+                 "y1 - 1^(1/2)", "y1 - zeta(0)", "y1^(1--2) - 1", "y1^2 - 1", "y1^-2 - 1",
+                 "y1^x - 1", "y12^3 - 1", "y1 - 1/0", "y1 - 3/0", "y1 - 2^(1/0)"):
         assert call(["charset"], line + "\n") == (2, ""), line
     for line in ("y1 - y1", "y1 + y2 + 1", "2"):
         assert call(["dec-binomial"], line + "\n") == (2, ""), line
+
+
 
 
 def test_leading_sign():

@@ -3,7 +3,10 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import sigma_binomial
@@ -33,6 +36,16 @@ def test_package_reexports_resolve():
             getattr(mod, name, None) is value and name in getattr(mod, "__all__", [name])
             for mod in modules
         ), name
+
+
+def test_each_module_imports_first():
+    """Each module imported first, in a fresh interpreter: a module-level
+    import cycle fails here, not at a user's first import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sigma_binomial.__file__).resolve().parents[1]))
+    for info in pkgutil.iter_modules(sigma_binomial.__path__):
+        done = subprocess.run([sys.executable, "-c", "import sigma_binomial." + info.name],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (info.name, done.stderr)
 
 
 def _load_script(relpath: str, name: str):

@@ -19,7 +19,6 @@ from sigma_binomial.textio import (
     ghnf_to_str,
     laurent_binomial_to_str,
     laurent_components_to_str,
-    laurent_system_to_str,
     matrix_to_str,
     parse_binomial_components,
     parse_laurent_binomial,
@@ -29,7 +28,7 @@ from sigma_binomial.textio import (
     parse_plain_binomial,
     parse_plain_system,
     plain_binomial_to_str,
-    plain_system_to_str,
+    system_to_str,
 )
 
 ID = SigmaConfig.IDENTITY
@@ -79,6 +78,39 @@ def test_sign_after_caret_stays_in_its_term():
         parse_laurent_binomial("y1 - 2^-1", 1)
 
 
+@pytest.mark.parametrize("line, factor, hint", [
+    ("y1^2 - 1", "y1^2", ": write y1^(2)"),
+    ("y1^-2 - 1", "y1^-2", ": write y1^(-2)"),
+    ("y1^x - 1", "y1^x", ": write y1^(x)"),
+    ("y12^3 - 1", "y12^3", ": write y12^(3)"),
+    ("2*y1^(2)3 - 1", "y1^(2)3", ""),
+])
+def test_malformed_variable_power_is_named(line, factor, hint):
+    with pytest.raises(ValueError) as err:
+        parse_laurent_binomial(line, 12)
+    assert str(err.value) == "malformed variable power %r%s" % (factor, hint)
+
+
+@pytest.mark.parametrize("factor", ["1/0", "3/0", "2^(1/0)", "2^(-1/00)"])
+def test_zero_denominator_is_named(factor):
+    with pytest.raises(ValueError) as err:
+        parse_laurent_binomial("y1 - " + factor, 1)
+    assert str(err.value) == "zero denominator in constant factor %r" % factor
+
+
+def test_component_listings_share_the_marker_rule():
+    text = "# a comment\ny1 - 1\ncomponent:\ny1 - 1\n"
+    message = r"^'y1 - 1' comes before the first 'component:' marker$"
+    with pytest.raises(ValueError, match=message):
+        parse_laurent_components(text, ID)
+    with pytest.raises(ValueError, match=message):
+        parse_binomial_components(text, 1)
+    # an empty block is the trivial component of either kind
+    assert laurent_components_to_str(parse_laurent_components("component:", ID, 2)) == "component:"
+    empty = "component:\nzero:\nnonzero:"
+    assert binomial_components_to_str(parse_binomial_components(empty, 2)) == empty
+
+
 _consts = st.builds(
     FieldConst,
     st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
@@ -102,7 +134,7 @@ def test_constant_and_binomial_text_roundtrip(c, v):
 def test_laurent_system_and_components_roundtrip():
     text = "y1^(x^2-2) - 1\ny2^(x^2-2) - 1\ny1*y2^(-x)*y3^(2) - 1"
     system, n = parse_laurent_system(text)
-    assert laurent_system_to_str(system) == text
+    assert system_to_str(system) == text
     comps = dec_laurent(system, ID, n)
     printed = laurent_components_to_str(comps)
     assert parse_laurent_components(printed, ID, n) == comps
@@ -126,7 +158,7 @@ def test_binomial_components_roundtrip():
     system, n = parse_plain_system(
         "y1^(x^2) - y1^(2)\ny2^(x^2) - y2^(2)\ny1*y3^(2) - y2^(x)"
     )
-    assert plain_system_to_str(system).splitlines()[0] == "y1^(x^2) - y1^(2)"
+    assert system_to_str(system).splitlines()[0] == "y1^(x^2) - y1^(2)"
     comps = dec_binomial(system, ID, n)
     printed = binomial_components_to_str(comps)
     assert parse_binomial_components(printed, n) == comps
