@@ -4,24 +4,23 @@ A plain binomial Y^{f+} - c Y^{f-} corresponds to the Laurent binomial
 Y^{f+ - f-} - c; monomials are carried as plain binomials with an empty
 minus side and no constant.  DecMono strips monomials by branching over
 which of their variables vanishes; DecBinomial combines that with the
-Laurent decomposition of the monomial-free part and represents each
-component as zeroed variables plus a regular coherent chain over the
-remaining ones.
+Laurent decomposition of the monomial-free part.  A component is its
+zeroed variables, its nonzero variables and the partial character of
+the remaining ones; its chain is read off the character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import FieldConst, SigmaConfig
 from .polyzx import IntPoly
-from .zx_lattice import DimensionError, LatVec
+from .zx_lattice import LatVec, _dimension
 from .laurent import (
     LaurentBinomial,
     NotABinomial,
     PartialCharacter,
     dec_laurent,
-    is_unit,
     make_character,
     member,
     normalize_binomial,
@@ -79,13 +78,18 @@ class MonoTriple:
 
 @dataclass(frozen=True)
 class Component:
-    """Zeroed variables plus a chain presenting the saturation ideal."""
+    """Zeroed variables, nonzero variables and a partial character: the
+    ideal is the coordinate ideal of the zeroed variables plus the
+    character's, the saturation ideal of its chain.  The chain is read
+    off the character, in plain form."""
 
-    n: int
     zero_vars: frozenset[int]
-    chain: tuple[PlainBinomial, ...]
     nonzero_vars: frozenset[int]
-    character: PartialCharacter | None = field(compare=False, default=None)
+    character: PartialCharacter
+
+    @property
+    def chain(self) -> tuple[PlainBinomial, ...]:
+        return tuple(to_plain(b) for b in self.character.binomials)
 
 
 def _split_parts(v: LatVec) -> tuple[LatVec, LatVec]:
@@ -190,32 +194,23 @@ def _component_sort_key(comp: Component):
 def dec_binomial(items, sigma: SigmaConfig, n: int | None = None) -> list[Component]:
     """Decompose {items} into reflexive prime components (Algorithm shape).
 
-    Each component is a set of zeroed variables together with a regular
-    coherent chain over the rest; the represented ideal is the sum of the
-    coordinate ideal and the chain's saturation ideal.  An empty list
-    means the perfect closure is the unit ideal.
+    Each component is a set of zeroed variables together with a
+    character over the rest (``Component``).  An empty list means the
+    perfect closure is the unit ideal.
     """
     items = list(items)
-    if n is None:
-        if not items:
-            raise ValueError("ambient dimension required for an empty system")
-        n = items[0].fplus.n
-    for b in items:
-        if b.fplus.n != n:
-            raise DimensionError("mixed dimensions in binomial system")
+    if n is None and not items:
+        raise ValueError("ambient dimension required for an empty system")
+    n = _dimension([b.fplus for b in items], n)
     components: list[Component] = []
     work = dec_mono(MonoTriple(frozenset(), tuple(items), frozenset()))
     while work:
         cur = work.pop()
         if not cur.items:
-            components.append(Component(n, cur.zero_vars, (), cur.nonzero_vars))
+            components.append(Component(cur.zero_vars, cur.nonzero_vars, make_character([], sigma, n)))
             continue
-        laurent_items = [to_laurent(b) for b in cur.items]
-        for rho in dec_laurent(laurent_items, sigma, n):
-            chain = tuple(to_plain(b) for b in rho.binomials)
-            components.append(
-                Component(n, cur.zero_vars, chain, cur.nonzero_vars, rho)
-            )
+        for rho in dec_laurent([to_laurent(b) for b in cur.items], sigma, n):
+            components.append(Component(cur.zero_vars, cur.nonzero_vars, rho))
         # some live variable is zero: branch on the monomial of the live
         # ones (_substitute_zero would drop one with a zeroed variable)
         live = LatVec(IntPoly((int(i not in cur.zero_vars),)) for i in range(n))
@@ -225,21 +220,13 @@ def dec_binomial(items, sigma: SigmaConfig, n: int | None = None) -> list[Compon
     return components
 
 
-def component_character(comp: Component, sigma: SigmaConfig) -> PartialCharacter:
-    if comp.character is not None:
-        return comp.character
-    rho = make_character([to_laurent(b) for b in comp.chain], sigma, comp.n)
-    if is_unit(rho):
-        raise AssertionError("component chain must present a proper ideal")
-    return rho
-
-
 def member_sat(b: PlainBinomial, comp: Component, sigma: SigmaConfig) -> bool:
     """Membership in [zeroed variables] + sat(chain).
 
     A term touching a zeroed variable vanishes; what survives must be a
     binomial of the component's Laurent ideal (a surviving monomial or
-    constant never belongs to the proper saturation ideal).
+    constant never belongs to the proper saturation ideal).  sigma is
+    the decomposition's automorphism, which the character already holds.
     """
     survivors = _substitute_zero((b,), comp.zero_vars)
     if survivors is None or (survivors and survivors[0].is_monomial):
@@ -250,4 +237,4 @@ def member_sat(b: PlainBinomial, comp: Component, sigma: SigmaConfig) -> bool:
         return b.constant.is_one()
     query = normalize_binomial(
         FieldConst.one(), b.fplus, b.constant * FieldConst.root_of_unity(2), b.fminus)
-    return member(query, component_character(comp, sigma))
+    return member(query, comp.character)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .constants import FieldConst, SigmaConfig, kth_roots, principal_root
 from .polyzx import IntPoly
-from .zx_lattice import DimensionError, GhnfBasis, LatVec, _tracked_extend, grem_track
+from .zx_lattice import DimensionError, GhnfBasis, LatVec, _dimension, _tracked_extend, grem_track
 from . import saturation
 
 __all__ = [
@@ -206,12 +206,9 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     properness is tested on the relations (``_with_constants``).
     """
     binomials = list(binomials)
-    if n is None:
-        if not binomials:
-            raise ValueError("ambient dimension required for an empty system")
-        n = binomials[0].support.n
-    if any(b.support.n != n for b in binomials):
-        raise DimensionError("mixed dimensions in binomial system")
+    if n is None and not binomials:
+        raise ValueError("ambient dimension required for an empty system")
+    n = _dimension([b.support for b in binomials], n)
     return _adjoin(PartialCharacter(n, sigma, GhnfBasis(n, []), ()), binomials)
 
 

@@ -10,6 +10,11 @@ by its binomials, one per line; in a plain decomposition, a 'zero:' and
 a 'nonzero:' line, each naming variables (as in 'zero: y1 y3'), come
 first.  A listing's number of variables n is the one given, or else the
 largest y-index on its lines, comments stripped.
+
+The component readers build each block's character (``make_character``)
+and reject what a component cannot hold: a block whose binomials present
+the unit ideal, a plain chain line that is a monomial, and a 'zero:' or
+'nonzero:' name that is none of y1..yn.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from fractions import Fraction
 from .constants import FieldConst, const_from_str, const_to_str
 from .polyzx import IntPoly, poly_from_str, poly_to_str
 from .zx_lattice import GhnfBasis, LatVec
-from .laurent import LaurentBinomial, make_character, normalize_binomial
-from .binomial import Component, PlainBinomial, to_plain
+from .laurent import LaurentBinomial, is_unit, make_character, normalize_binomial
+from .binomial import Component, PlainBinomial, to_laurent, to_plain
 
 _VAR_RE = re.compile(r"^y(\d+)(?:\^\((.*)\))?$")
 _BARE_POWER_RE = re.compile(r"^(y\d+)\^([^(].*)$")
@@ -187,19 +192,23 @@ def monomial_to_str(v: LatVec) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _negate_real(c: FieldConst) -> FieldConst | None:
-    """c written as -d with d free of the sign factor, when turn is 1/2."""
-    if c.turn == Fraction(1, 2):
-        return FieldConst(c.factors, 0)
-    return None
+def _binomial_to_str(plus: str, constant: FieldConst, minus: str) -> str:
+    """'plus - constant*minus', from the printed sides: '+' and the
+    constant's negation when its turn is 1/2, and a factor 1 left out."""
+    sign = "-"
+    if constant.turn == Fraction(1, 2):
+        constant, sign = FieldConst(constant.factors, 0), "+"
+    if constant.is_one():
+        tail = minus
+    elif minus == "1":
+        tail = const_to_str(constant)
+    else:
+        tail = "%s*%s" % (const_to_str(constant), minus)
+    return "%s %s %s" % (plus, sign, tail)
 
 
 def laurent_binomial_to_str(b: LaurentBinomial) -> str:
-    mono = monomial_to_str(b.support)
-    neg = _negate_real(b.constant)
-    if neg is not None:
-        return "%s + %s" % (mono, const_to_str(neg))
-    return "%s - %s" % (mono, const_to_str(b.constant))
+    return _binomial_to_str(monomial_to_str(b.support), b.constant, "1")
 
 
 def parse_laurent_system(text: str, n: int | None = None):
@@ -243,19 +252,7 @@ def parse_plain_binomial(text: str, n: int):
 def plain_binomial_to_str(b) -> str:
     if b.is_monomial:
         return monomial_to_str(b.fplus)
-    neg = _negate_real(b.constant)
-    if neg is not None:
-        c, sep = neg, "+"
-    else:
-        c, sep = b.constant, "-"
-    rhs = monomial_to_str(b.fminus)
-    if c.is_one():
-        tail = rhs
-    elif rhs == "1":
-        tail = const_to_str(c)
-    else:
-        tail = "%s*%s" % (const_to_str(c), rhs)
-    return "%s %s %s" % (monomial_to_str(b.fplus), sep, tail)
+    return _binomial_to_str(monomial_to_str(b.fplus), b.constant, monomial_to_str(b.fminus))
 
 
 def parse_plain_system(text: str, n: int | None = None):
@@ -289,14 +286,32 @@ def laurent_components_to_str(components) -> str:
     return _listing(map(laurent_binomial_to_str, rho.binomials) for rho in components)
 
 
+def _proper(rho, block: list[str]):
+    """A block's character; a block presenting the unit ideal is no component."""
+    if is_unit(rho):
+        raise ValueError("component block %r presents the unit ideal" % block)
+    return rho
+
+
 def parse_laurent_components(text: str, sigma, n: int | None = None):
     lines, n = _lines_and_n(text, n)
-    return [make_character([parse_laurent_binomial(line, n) for line in grp], sigma, n)
+    return [_proper(make_character([parse_laurent_binomial(line, n) for line in grp], sigma, n), grp)
             for grp in _groups(lines)]
 
 
 def _vars_to_str(vars_set) -> str:
     return " ".join("y%d" % (i + 1) for i in sorted(vars_set))
+
+
+def _vars_from_str(names: str, n: int) -> frozenset[int]:
+    """The indices of the variables a 'zero:' or 'nonzero:' line names."""
+    out = set()
+    for name in names.split():
+        m = re.fullmatch(r"y(\d+)", name)
+        if not m or not 1 <= int(m.group(1)) <= n:
+            raise ValueError("%r is none of the variables y1..y%d" % (name, n))
+        out.add(int(m.group(1)) - 1)
+    return frozenset(out)
 
 
 def binomial_components_to_str(components) -> str:
@@ -305,16 +320,17 @@ def binomial_components_to_str(components) -> str:
                      *map(plain_binomial_to_str, comp.chain)] for comp in components)
 
 
-def parse_binomial_components(text: str, n: int):
+def parse_binomial_components(text: str, sigma, n: int | None = None):
+    lines, n = _lines_and_n(text, n)
     out = []
-    for grp in _groups(strip_comments(text)):
+    for grp in _groups(lines):
         sides = {"zero": frozenset(), "nonzero": frozenset()}
         chain = []
         for line in grp:
             key, _, names = line.partition(":")
             if key in sides:
-                sides[key] = frozenset(int(tok[1:]) - 1 for tok in names.split())
+                sides[key] = _vars_from_str(names, n)
             else:
-                chain.append(parse_plain_binomial(line, n))
-        out.append(Component(n, sides["zero"], tuple(chain), sides["nonzero"]))
+                chain.append(to_laurent(parse_plain_binomial(line, n)))
+        out.append(Component(sides["zero"], sides["nonzero"], _proper(make_character(chain, sigma, n), grp)))
     return out

@@ -169,11 +169,9 @@ def test_dec_binomial_example_718():
          "y1*y3^(x^2) - y2^(x)"),
     ]
     # every component chain converts to a reflexive prime Laurent character
-    from sigma_binomial.binomial import component_character
-
     for c in comps:
         if c.chain:
-            rho = component_character(c, ID)
+            rho = c.character
             assert is_prime(rho) and is_reflexive(rho)
 
 

@@ -153,10 +153,10 @@ def test_dec_laurent_roundtrip():
 def test_dec_binomial_roundtrip():
     code, out = call(["dec-binomial"], SYS_718)
     assert code == 0
-    comps = parse_binomial_components(out, 3)
+    comps = parse_binomial_components(out, SigmaConfig.IDENTITY, 3)
     assert len(comps) == 4
     printed = binomial_components_to_str(comps)
-    assert parse_binomial_components(printed, 3) == comps
+    assert parse_binomial_components(printed, SigmaConfig.IDENTITY, 3) == comps
 
 
 def test_laurent_listings_roundtrip_through_the_cli():
@@ -186,7 +186,7 @@ def test_binomial_listings_roundtrip_through_the_cli(system):
     comps = dec_binomial(items, sigma, n)
     code, out = call(["dec-binomial", "--sigma", sigma.value, "--nvars", str(n)], system_to_str(items))
     if comps:
-        assert code == 0 and parse_binomial_components(out, n) == comps
+        assert code == 0 and parse_binomial_components(out, sigma, n) == comps
     else:
         assert (code, out) == (1, "unit\n")
 

@@ -22,6 +22,7 @@ from sigma_binomial.laurent import (
     _wellmixed_forced,
     NotABinomial,
     NotReflexivePrime,
+    PartialCharacter,
     dec_laurent,
     dimension,
     is_perfect,
@@ -67,6 +68,9 @@ def test_normalize_binomial():
     assert str(b3.constant) == "1/3"
     with pytest.raises(NotABinomial):
         normalize_binomial(one, V("1"), one, V("1"))
+    # a zero second exponent is not subtracted, so only the check catches it
+    with pytest.raises(DimensionError):
+        normalize_binomial(one, V("1"), one, V("0", "0"))
 
 
 def test_make_character_dichotomy():
@@ -118,6 +122,9 @@ def test_make_character_rejects_empty_and_mixed_systems():
         make_character([L("y1 - 1", 1), L("y2 - 1", 2)], ID)
     with pytest.raises(DimensionError):
         make_character([L("y1 - 1", 1)], ID, 2)
+    basis = make_character([L("y1 - 1", 1)], ID).basis
+    with pytest.raises(ValueError, match="one constant per basis column"):
+        PartialCharacter(1, ID, basis, ())
 
 
 def test_member_of_a_zero_support():

@@ -104,11 +104,34 @@ def test_component_listings_share_the_marker_rule():
     with pytest.raises(ValueError, match=message):
         parse_laurent_components(text, ID)
     with pytest.raises(ValueError, match=message):
-        parse_binomial_components(text, 1)
+        parse_binomial_components(text, ID, 1)
     # an empty block is the trivial component of either kind
     assert laurent_components_to_str(parse_laurent_components("component:", ID, 2)) == "component:"
     empty = "component:\nzero:\nnonzero:"
-    assert binomial_components_to_str(parse_binomial_components(empty, 2)) == empty
+    assert binomial_components_to_str(parse_binomial_components(empty, ID, 2)) == empty
+
+
+def test_binomial_components_name_only_variables_y1_to_yn():
+    for names in ("y9", "q0", "x1", "y0", "y1 y3"):
+        with pytest.raises(ValueError, match="is none of the variables y1..y2"):
+            parse_binomial_components("component:\nzero: %s\nnonzero:" % names, ID, 2)
+        with pytest.raises(ValueError, match="is none of the variables y1..y2"):
+            parse_binomial_components("component:\nzero:\nnonzero: %s" % names, ID, 2)
+    # without n, a listing's n is its largest y-index, so y0 alone is out
+    with pytest.raises(ValueError, match="is none of the variables y1..y1"):
+        parse_binomial_components("component:\nzero: y0 y1\nnonzero:", ID)
+    [comp] = parse_binomial_components("component:\nzero: y2\nnonzero: y1", ID, 2)
+    assert (comp.zero_vars, comp.nonzero_vars) == ({1}, {0})
+
+
+def test_component_readers_reject_a_unit_block():
+    with pytest.raises(ValueError, match="presents the unit ideal"):
+        parse_laurent_components("component:\ny1 - 1\ny1 - 2\n", ID, 1)
+    with pytest.raises(ValueError, match="presents the unit ideal"):
+        parse_binomial_components("component:\nzero:\nnonzero:\ny1 - 1\ny1 - 2\n", ID, 1)
+    # a monomial is no chain binomial either
+    with pytest.raises(ValueError, match="monomial"):
+        parse_binomial_components("component:\nzero:\nnonzero:\ny1\n", ID, 1)
 
 
 _consts = st.builds(
@@ -161,4 +184,4 @@ def test_binomial_components_roundtrip():
     assert system_to_str(system).splitlines()[0] == "y1^(x^2) - y1^(2)"
     comps = dec_binomial(system, ID, n)
     printed = binomial_components_to_str(comps)
-    assert parse_binomial_components(printed, n) == comps
+    assert parse_binomial_components(printed, ID, n) == comps
