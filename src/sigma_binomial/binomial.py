@@ -220,13 +220,13 @@ def dec_binomial(items, sigma: SigmaConfig, n: int | None = None) -> list[Compon
     return components
 
 
-def member_sat(b: PlainBinomial, comp: Component, sigma: SigmaConfig) -> bool:
+def member_sat(b: PlainBinomial, comp: Component) -> bool:
     """Membership in [zeroed variables] + sat(chain).
 
     A term touching a zeroed variable vanishes; what survives must be a
     binomial of the component's Laurent ideal (a surviving monomial or
-    constant never belongs to the proper saturation ideal).  sigma is
-    the decomposition's automorphism, which the character already holds.
+    constant never belongs to the proper saturation ideal).  The
+    automorphism is the one the character holds (``SigmaConfig.eps``).
     """
     survivors = _substitute_zero((b,), comp.zero_vars)
     if survivors is None or (survivors and survivors[0].is_monomial):

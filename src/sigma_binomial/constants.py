@@ -4,8 +4,8 @@ A constant is a product of positive prime-radical factors p^(a/b) and a
 root of unity e^(2*pi*i*turn).  The group is closed under
 multiplication, inversion, k-th roots, and the two automorphisms we
 model: the identity and complex conjugation (which fixes the radical
-part and inverts every root of unity).  Negative rationals are encoded
-through turn = 1/2.
+part and inverts every root of unity), which ``SigmaConfig.eps`` alone
+tells apart.  Negative rationals are encoded through turn = 1/2.
 
 Every ``FieldConst`` is held in one normal form: ``factors`` is a tuple
 of (p, e) sorted by the prime p, with each exponent e a nonzero
@@ -38,6 +38,14 @@ class SigmaConfig(enum.Enum):
 
     IDENTITY = "id"
     CONJUGATION = "conj"
+
+    @property
+    def eps(self) -> int:
+        """The one place where the automorphism is decided: sigma(zeta) =
+        zeta^eps for every root of unity zeta, with eps = 1 under id and
+        -1 under conj, and sigma fixes the radical part, so sigma^2 = id.
+        Every other module reads sigma only through eps."""
+        return 1 if self is SigmaConfig.IDENTITY else -1
 
 
 class FieldConst:
@@ -134,13 +142,11 @@ class FieldConst:
 def pow_zx(c: FieldConst, e: IntPoly, sigma: SigmaConfig) -> FieldConst:
     """c raised to a Z[x]-exponent: prod over j of sigma^j(c)^e_j.
 
-    Under the identity this is c^e(1); under conjugation the radical part
-    is raised to e(1) while the turn picks up the factor e(-1).
+    The radical part is raised to e(1) and the turn to e(eps)
+    (``SigmaConfig.eps``).
     """
     e1 = e(1)
-    if sigma is SigmaConfig.IDENTITY:
-        return FieldConst(((p, exp * e1) for p, exp in c.factors), c.turn * e1)
-    return FieldConst(((p, exp * e1) for p, exp in c.factors), c.turn * e(-1))
+    return FieldConst(((p, exp * e1) for p, exp in c.factors), c.turn * e(sigma.eps))
 
 
 def principal_root(c: FieldConst, k: int) -> FieldConst:
@@ -161,12 +167,11 @@ def kth_roots(c: FieldConst, k: int) -> list[FieldConst]:
 
 
 def o_m(m: int, sigma: SigmaConfig) -> int:
-    """The m-th transforming degree of unity: sigma(zeta_m) = zeta_m^o_m."""
+    """The m-th transforming degree of unity: sigma(zeta_m) = zeta_m^o_m,
+    so o_m = eps mod m (``SigmaConfig.eps``)."""
     if m < 1:
         raise DegenerateInput("order must be positive")
-    if m == 1:
-        return 0
-    return 1 if sigma is SigmaConfig.IDENTITY else m - 1
+    return sigma.eps % m
 
 
 # ---------------------------------------------------------------------------

@@ -113,20 +113,16 @@ def normalize_binomial(
 
 
 class PartialCharacter:
-    """A proper Laurent binomial ideal: lattice basis plus constants."""
+    """A proper Laurent binomial ideal: lattice basis plus constants.
 
-    __slots__ = ("n", "sigma", "basis", "constants")
+    The ambient dimension is ``basis.n``; ``sigma`` acts on the constants
+    as ``SigmaConfig.eps`` says."""
 
-    def __init__(
-        self,
-        n: int,
-        sigma: SigmaConfig,
-        basis: GhnfBasis,
-        constants: tuple[FieldConst, ...],
-    ):
+    __slots__ = ("sigma", "basis", "constants")
+
+    def __init__(self, sigma: SigmaConfig, basis: GhnfBasis, constants: tuple[FieldConst, ...]):
         if len(constants) != len(basis.columns):
             raise ValueError("one constant per basis column required")
-        self.n = n
         self.sigma = sigma
         self.basis = basis
         self.constants = constants
@@ -147,14 +143,13 @@ class PartialCharacter:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PartialCharacter)
-            and self.n == other.n
             and self.sigma == other.sigma
             and self.basis == other.basis
             and self.constants == other.constants
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.sigma, self.basis, self.constants))
+        return hash((self.sigma, self.basis, self.constants))
 
     def __repr__(self) -> str:
         return "PartialCharacter(%s)" % "; ".join(str(b) for b in self.binomials)
@@ -162,9 +157,10 @@ class PartialCharacter:
 
 def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
     """prod consts[l]^exponents[l], with Z[x]-exponents acting through
-    sigma as in ``pow_zx``, in one pass: the exponents of each prime and
+    sigma as in ``pow_zx``: radicals to q(1), turns to q(eps)
+    (``SigmaConfig.eps``).  In one pass, the exponents of each prime and
     the turn add up over all factors, and one FieldConst is built."""
-    conj = sigma is SigmaConfig.CONJUGATION
+    eps = sigma.eps
     radical, turn = {}, Fraction(0)
     for q, c in zip(exponents, consts):
         if q:
@@ -172,7 +168,7 @@ def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
             for p, e in c.factors:
                 radical[p] = radical.get(p, 0) + e * e1
             if c.turn:
-                turn += c.turn * (q(-1) if conj else e1)
+                turn += c.turn * q(eps)
     return FieldConst._normal(tuple(sorted((p, e) for p, e in radical.items() if e)), turn % 1)
 
 
@@ -190,7 +186,7 @@ def _with_constants(part, consts, sigma: SigmaConfig):
     basis, exprs, kernel, _ = part
     if any(not _apply(k.entries, consts, sigma).is_one() for k in kernel):
         return UNIT
-    return PartialCharacter(basis.n, sigma, basis, tuple(_apply(e, consts, sigma) for e in exprs))
+    return PartialCharacter(sigma, basis, tuple(_apply(e, consts, sigma) for e in exprs))
 
 
 def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
@@ -209,7 +205,7 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     if n is None and not binomials:
         raise ValueError("ambient dimension required for an empty system")
     n = _dimension([b.support for b in binomials], n)
-    return _adjoin(PartialCharacter(n, sigma, GhnfBasis(n, []), ()), binomials)
+    return _adjoin(PartialCharacter(sigma, GhnfBasis(n, []), ()), binomials)
 
 
 def _adjoin(rho: PartialCharacter, binomials):
@@ -263,8 +259,9 @@ def is_perfect(rho: PartialCharacter) -> bool:
 
 def _reflexive_forced(rho: PartialCharacter):
     """sigma^{-1}-preimages of the XFactor witnesses: binomials in every
-    reflexive ideal containing I(rho), with supports outside its lattice."""
-    # x acts as sigma, an involution, so the exponents e_l*x apply sigma^(-1)
+    reflexive ideal containing I(rho), with supports outside its lattice.
+    The exponents e_l*x apply sigma, which is sigma^(-1) as sigma^2 = id
+    (``SigmaConfig.eps``)."""
     return [
         LaurentBinomial(w.h, _apply([IntPoly.term(k, 1) for k in w.e], rho.constants, rho.sigma))
         for w in saturation.xfactor(rho.basis)
@@ -276,7 +273,7 @@ def _wellmixed_forced(rho: PartialCharacter):
     that are not members: for each column g of sat_Z(L) with least
     multiplier m > 1 (``saturation.sat_z``), support (x - eps) g with
     constant a^(x - eps), a the principal m-th root of rho(m g), and
-    x - eps from ``saturation.m_shift``.
+    x - eps from ``saturation.m_shift`` (eps is ``SigmaConfig.eps``).
 
     The paper's binomial, with support (x - o_m) g and constant
     a^(x - o_m), differs from this one by a member: (o_m - eps) g is a
@@ -392,4 +389,4 @@ def dimension(rho: PartialCharacter) -> int:
     """Difference dimension n - rank for a reflexive prime character."""
     if not (is_reflexive(rho) and is_prime(rho)):
         raise NotReflexivePrime("dimension needs a reflexive prime ideal")
-    return rho.n - rho.basis.rank
+    return rho.basis.n - rho.basis.rank

@@ -3,17 +3,18 @@
 Each kind has a witness function whose list is empty iff the lattice is
 saturated of that kind: ``xfactor`` finds h with x*h in the lattice from
 the integer kernel of the constant terms, ``zfactor`` finds h with m*h
-in the lattice by working over Z_m[x], and ``mfactor`` returns
-(x - 1)*g, or (x + 1)*g under conj, for the Z-saturation columns g
-outside the lattice.  The x- and Z-saturations loop, extending the GHNF
-by the witnesses of their kind (``extend``) until there are none; each
-witness lies in every saturated lattice containing the current one.  The
-Z loop runs no round when the blocks' pivot rows are 1, ..., k and each
-block starts at degree 0 (``_saturate``).  The full saturation is the Z
-loop after sat_x, M-saturation takes one round, and P-saturation one
-after sat_x.  The M step needs no multipliers: it shifts every column of
-sat_Z(L) by x - eps (``m_shift``).  ``sat_z`` reads each column's least
-multiplier into the input off the input's GHNF (``_multiplier``).
+in the lattice by working over Z_m[x], and ``mfactor`` returns the
+(x - eps)*g outside the lattice for the Z-saturation columns g, with
+eps from ``SigmaConfig.eps``.  The x- and Z-saturations loop, extending
+the GHNF by the witnesses of their kind (``extend``) until there are
+none; each witness lies in every saturated lattice containing the
+current one.  The Z loop runs no round when the blocks' pivot rows are
+1, ..., k and each block starts at degree 0 (``_saturate``).  The full
+saturation is the Z loop after sat_x, M-saturation takes one round, and
+P-saturation one after sat_x.  The M step needs no multipliers: it
+shifts every column of sat_Z(L) by x - eps (``m_shift``).  ``sat_z``
+reads each column's least multiplier into the input off the input's
+GHNF (``_multiplier``).
 
 ``zfactor`` never factors more than trial division allows.  Every prime
 p with p*h in the lattice for some h outside it divides q, the product
@@ -228,13 +229,13 @@ def sat_z(gens, n: int | None = None) -> TrackedBasis:
 
 
 def m_shift(sigma: SigmaConfig) -> IntPoly:
-    """x - eps, with eps = 1 under id and -1 under conj.
+    """x - eps, with eps from ``SigmaConfig.eps``.
 
     The paper's M step multiplies each column g with m*g in L by x - o_m.
     As o_m = eps mod m, (x - o_m)*g and (x - eps)*g differ by a multiple
     of m*g, which lies in L, so one shift serves every column.
     """
-    return IntPoly((-1, 1) if sigma is SigmaConfig.IDENTITY else (1, 1))
+    return IntPoly((-sigma.eps, 1))
 
 
 def mfactor(basis: GhnfBasis, sigma: SigmaConfig) -> list[LatVec]:

@@ -548,6 +548,15 @@ def _tail_reduced(basis: list[LatVec], table) -> None:
         basis[idx] = red
 
 
+def _reduced_certified(basis: list[LatVec], inputs: Sequence[LatVec], s: int) -> list[LatVec] | None:
+    """``_tail_reduced`` on a kept chain, in place, then ``_certified``
+    against the inputs, on the chain's one ``_pivot_table``: the step
+    that ``_extend`` and ``_complete`` share."""
+    table = _pivot_table(basis)
+    _tail_reduced(basis, table)
+    return _certified(basis, table, inputs, s)
+
+
 def _complete(inputs: list[_Input]) -> list[LatVec]:
     """The reduced Groebner basis of the inputs' Z[x]-lattice, by linear
     algebra, in ascending leading-term order: ``_extend``'s fallback, on
@@ -582,10 +591,8 @@ def _complete(inputs: list[_Input]) -> list[LatVec]:
         if kept is not None:
             basis = [LatVec(IntPoly(h[k][r * width : (r + 1) * width]) for r in range(n))
                      for k in kept]
-            table = _pivot_table(basis)
-            _tail_reduced(basis, table)
             budget -= len(basis)
-            if _certified(basis, table, vecs, 0) is not None:
+            if _reduced_certified(basis, vecs, 0) is not None:
                 return basis
         if budget < spent[0] // 20:
             raise RuntimeError(
@@ -599,8 +606,9 @@ def _dimension(gens: list[LatVec], n: int | None) -> int:
     generator must have."""
     if n is None:
         n = gens[0].n if gens else 0
-    if any(g.n != n for g in gens):
-        raise DimensionError("mixed dimensions in generators")
+    for g in gens:
+        if g.n != n:
+            raise DimensionError("generator of dimension %d, but n = %d" % (g.n, n))
     return n
 
 
@@ -640,9 +648,7 @@ def _extend(head: Sequence[LatVec], table, new: Sequence[LatVec], s: int):
     kept = _minimal_chain([_lt_key(c) for c in cands])
     if kept is not None:
         cols = [cands[k] for k in kept]
-        table = _pivot_table(cols)
-        _tail_reduced(cols, table)
-        found = _certified(cols, table, [c for k, c in enumerate(cands) if k not in kept], s)
+        found = _reduced_certified(cols, [c for k, c in enumerate(cands) if k not in kept], s)
         if found is not None:
             return rels + found + cols, False
     return _complete([_Input(v) for v in cands + rels]), True
@@ -701,11 +707,14 @@ def _tracked_extend(basis: GhnfBasis, new: Sequence[LatVec]):
     followed by the new vectors, of the same dimension: ``_extend`` of
     the stacked basis columns by the stacked new vectors, which completes
     only when its certificate fails (``_split``).  The relations generate
-    the kernel; they are its GHNF when the extension completed."""
+    the kernel; they are its GHNF when the extension completed.  Rows
+    1..s of the stacked columns hold no leading term, so their pivot
+    table is the basis's own with every row moved down by s."""
     gens = list(basis.columns) + list(new)
-    stacked, r = _stacked(gens), len(basis.columns)
-    cols, completed = _extend(stacked[:r], _pivot_table(stacked[:r]), stacked[r:], len(gens))
-    return _split(cols, len(gens), basis.n) + (completed,)
+    stacked, r, s = _stacked(gens), len(basis.columns), len(gens)
+    table = {row + s: entries for row, entries in basis.pivot_table().items()}
+    cols, completed = _extend(stacked[:r], table, stacked[r:], s)
+    return _split(cols, s, basis.n) + (completed,)
 
 
 def verify_ghnf(basis: "GhnfBasis | Sequence[LatVec]") -> tuple[bool, list[str]]:

@@ -181,22 +181,22 @@ def test_member_sat():
     sat_comps = [c for c in comps if not c.zero_vars]
     for c in sat_comps:
         for g in c.chain:
-            assert member_sat(g, c, ID)
+            assert member_sat(g, c)
     q = B("y1^(2)*y3^(x^2+2) - y2^(2*x)", 3)
-    assert any(member_sat(q, c, ID) for c in sat_comps)
-    assert not any(member_sat(B("y1^(3) - y2^(x)", 3), c, ID) for c in sat_comps)
+    assert any(member_sat(q, c) for c in sat_comps)
+    assert not any(member_sat(B("y1^(3) - y2^(x)", 3), c) for c in sat_comps)
     # zeroed-variable membership
     flat = next(c for c in comps if sorted(c.zero_vars) == [0, 1])
-    assert member_sat(B("y1*y3 - y2", 3), flat, ID)  # both sides vanish
-    assert member_sat(B("y1*y2", 3), flat, ID)
-    assert not member_sat(B("y3 - 1", 3), flat, ID)
+    assert member_sat(B("y1*y3 - y2", 3), flat)  # both sides vanish
+    assert member_sat(B("y1*y2", 3), flat)
+    assert not member_sat(B("y3 - 1", 3), flat)
     # one side vanishes: a monomial survives, or a nonzero constant does
-    assert not member_sat(B("y1 - y3", 3), flat, ID)
-    assert not member_sat(B("y3 - y2", 3), flat, ID)
-    assert not member_sat(B("y1 - 1", 3), flat, ID)
+    assert not member_sat(B("y1 - y3", 3), flat)
+    assert not member_sat(B("y3 - y2", 3), flat)
+    assert not member_sat(B("y1 - 1", 3), flat)
     # a monomial on live variables
-    assert not member_sat(B("y3", 3), flat, ID)
-    assert not any(member_sat(B("y1*y3", 3), c, ID) for c in sat_comps)
+    assert not member_sat(B("y3", 3), flat)
+    assert not any(member_sat(B("y1*y3", 3), c) for c in sat_comps)
 
 
 def _sequence_value(seq, exponent: IntPoly):
@@ -289,7 +289,15 @@ def test_dec_binomial_components_contain_the_input(system):
     assert len(keys) == len(comps)
     for comp in comps:
         for b in items:
-            assert member_sat(b, comp, sigma), (str(b), comp)
+            assert member_sat(b, comp), (str(b), comp)
+
+
+@pytest.mark.parametrize("sigma, expected", [(ID, True), (CONJ, False)], ids=["id", "conj"])
+def test_member_sat_reads_the_components_automorphism(sigma, expected):
+    """On y1 != 0, y1^(x) = zeta(3)*y1 gives y1^(x^2) = sigma(zeta(3))*y1^(x),
+    which is zeta(3)*y1^(x) under id only."""
+    [comp] = [c for c in dec_binomial([B("y1^(x) - zeta(3)*y1", 1)], sigma, 1) if not c.zero_vars]
+    assert member_sat(B("y1^(x^2) - zeta(3)*y1^(x)", 1), comp) is expected
 
 
 @pytest.mark.parametrize("sigma", [ID, CONJ], ids=["id", "conj"])
@@ -300,4 +308,4 @@ def test_member_sat_of_a_zero_support(sigma):
     assert comp.chain == ()
     for c, expected in ((1, True), (2, False)):
         b = to_plain(LaurentBinomial(LatVec.zero(1), FieldConst.from_rational(c)))
-        assert member_sat(b, comp, sigma) is expected
+        assert member_sat(b, comp) is expected

@@ -100,10 +100,14 @@ def test_kernel_nvars(capsys):
     # one column of Z^2: a different --nvars is a usage error
     code, out = call(["kernel", "--nvars", "1"], "1, 2\n")
     assert code == 2 and out == ""
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert capsys.readouterr().err == "error: generator of dimension 2, but n = 1\n"
     code, out = call(["kernel", "--nvars", "2"], "1, 0\n1, 0\n")
     assert (code, out) == call(["kernel"], "1, 0\n1, 0\n") and code == 0
+
+
+def test_generator_dimension_is_named(capsys):
+    assert call(["ghnf", "--nvars", "3"], "1, x\n2, 0\n") == (2, "")
+    assert capsys.readouterr().err == "error: generator of dimension 2, but n = 3\n"
 
 
 def test_charset_and_unit_exit():

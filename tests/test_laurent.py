@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V, laurent_systems, rand_vec, truncated_kernel
-from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, pow_zx
+from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, o_m, pow_zx
 from sigma_binomial.polyzx import IntPoly, poly_from_str
-from sigma_binomial.saturation import is_saturated
+from sigma_binomial.saturation import is_saturated, m_shift
 from sigma_binomial.zx_lattice import DimensionError, LatVec, ghnf, gker, lattice_equal
 from sigma_binomial.laurent import (
     UNIT,
@@ -124,7 +124,9 @@ def test_make_character_rejects_empty_and_mixed_systems():
         make_character([L("y1 - 1", 1)], ID, 2)
     basis = make_character([L("y1 - 1", 1)], ID).basis
     with pytest.raises(ValueError, match="one constant per basis column"):
-        PartialCharacter(1, ID, basis, ())
+        PartialCharacter(ID, basis, ())
+    with pytest.raises(TypeError):  # no n of its own besides the basis's
+        PartialCharacter(5, ID, basis, ())
 
 
 def test_member_of_a_zero_support():
@@ -297,7 +299,7 @@ def _close_to_fixpoint(binomials, sigma, n, *steps):
                 break
         else:
             return rho
-        rho = make_character(list(rho.binomials) + forced, sigma, rho.n)
+        rho = make_character(list(rho.binomials) + forced, sigma, rho.basis.n)
     return UNIT
 
 
@@ -440,6 +442,25 @@ def test_dimension():
     not_prime = make_character([L("y1^(2) - 4", 1)], ID, 1)
     with pytest.raises(NotReflexivePrime):
         dimension(not_prime)
+    # n is the basis's: y1 - 2 with n = 2 leaves one free variable
+    one_of_two = make_character([L("y1 - 2", 2)], ID, 2)
+    assert one_of_two.basis.n == 2 and dimension(one_of_two) == 1
+
+
+@pytest.mark.parametrize("sigma", ["conj", "id"])
+def test_a_sigma_that_is_no_sigma_config_raises(sigma):
+    """Every reader of the automorphism goes through SigmaConfig.eps, so
+    a plain string raises there rather than reading as one automorphism
+    in one place and as the other in the next."""
+    calls = [
+        lambda: pow_zx(FieldConst.root_of_unity(3), IntPoly.term(1, 1), sigma),
+        lambda: o_m(3, sigma),
+        lambda: m_shift(sigma),
+        lambda: perfect_closure([L("y1^(x) - zeta(3)", 1)], sigma, 1),
+    ]
+    for call in calls:
+        with pytest.raises(AttributeError, match="eps"):
+            call()
 
 
 def _count_completions(monkeypatch):

@@ -302,6 +302,27 @@ def test_gker_runs_at_most_one_completion(monkeypatch):
     assert runs == {0, 1}, runs
 
 
+def test_tracked_extend_reuses_the_basis_pivot_table(monkeypatch):
+    """The table that _tracked_extend hands to _extend, the basis's own
+    moved down by s rows, is the one the stacked columns compile to."""
+    import sigma_binomial.zx_lattice as zx
+
+    real, heads = zx._extend, []
+
+    def checked(head, table, new, s):
+        assert table == zx._pivot_table(head), head
+        heads.append(len(head))
+        return real(head, table, new, s)
+
+    monkeypatch.setattr(zx, "_extend", checked)
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        basis = ghnf([rand_vec(rng, n) for _ in range(rng.randint(1, 3))], n)
+        zx._tracked_extend(basis, [rand_vec(rng, n) for _ in range(rng.randint(1, 2))])
+    assert max(heads) > 1
+
+
 def test_ghnf_certifies_a_ghnf_and_distinct_leading_rows(monkeypatch):
     """ghnf of a GHNF's own columns, and of generators whose leading rows
     differ, runs no completion."""

@@ -189,7 +189,7 @@ def _queries(sb, rho):
     """Query supports for a character: the unit vectors, one vector that
     few lattices hold, and four combinations of rho's columns (so inside
     its lattice), one of them not normal."""
-    n = rho.n
+    n = rho.basis.n
     out = [sb.LatVec.unit(n, row) for row in range(n)]
     out.append(sb.LatVec([sb.IntPoly((-2, 0, 1))] + [sb.IntPoly((3, 1))] * (n - 1)))
     cols = rho.basis.columns
