@@ -8,21 +8,23 @@ into polynomials.
 
 Every character is grown the same way, by adjoining binomials to one
 already known (``_adjoin``): ``make_character`` starts from the empty
-character, and the reflexive rounds, the well-mixed round and each level
-of ``dec_laurent`` start from the character they hold.  The supports
-extend its GHNF (``zx_lattice._tracked_extend``), which gives each new
-column's expression and relations that generate the kernel, and runs a
-completion only when its certificate fails.
+character, and the reflexive rounds and the well-mixed round start from
+the character they hold.  The supports extend its GHNF
+(``zx_lattice._tracked_extend``), which gives each new column's
+expression and relations that generate the kernel, and runs a
+completion only when its certificate fails.  ``_adjoin`` tests the
+relations on the constants; each round of ``dec_laurent`` extends its
+basis by one witness and solves the relations for the roots they accept
+(``_proper_roots``), so it builds only proper children.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import FieldConst, SigmaConfig, kth_roots, principal_root
+from .constants import FieldConst, SigmaConfig, principal_root
 from .polyzx import IntPoly
 from .zx_lattice import DimensionError, GhnfBasis, LatVec, _dimension, _tracked_extend, grem_track
 from . import saturation
@@ -68,11 +70,12 @@ class UnitIdeal:
 
 UNIT = UnitIdeal()
 
-# Root choices dec_laurent may enumerate on one level.  The criterion-9
-# Laurent family needs at most 27 (trial 101, whose decomposition has 27
-# components), and the larger family of the decomposition-oracle tests at
-# most 32 (seed 21, trial 35, 2 components) apart from its refused system
-# 16; the bound refuses the k-th roots of a large k.
+# Proper children dec_laurent may build in one round; at the last round
+# they are the components.  The criterion-9 Laurent family needs at most
+# 27 under either automorphism (trial 101, whose decomposition has 27
+# components), and the larger family of the decomposition-oracle tests
+# at most 3 (seed 21, trial 12, 3 components); the bound refuses the
+# k-th roots of a large k.
 _MAX_ROOT_CHOICES = 4096
 
 
@@ -121,6 +124,8 @@ class PartialCharacter:
     __slots__ = ("sigma", "basis", "constants")
 
     def __init__(self, sigma: SigmaConfig, basis: GhnfBasis, constants: tuple[FieldConst, ...]):
+        if not isinstance(sigma, SigmaConfig):
+            raise TypeError("sigma must be a SigmaConfig, not %r" % (sigma,))
         if len(constants) != len(basis.columns):
             raise ValueError("one constant per basis column required")
         self.sigma = sigma
@@ -172,20 +177,14 @@ def _apply(exponents, consts, sigma: SigmaConfig) -> FieldConst:
     return FieldConst._normal(tuple(sorted((p, e) for p, e in radical.items() if e)), turn % 1)
 
 
-def _with_constants(part, consts, sigma: SigmaConfig):
+def _with_constants(part, consts, sigma: SigmaConfig) -> PartialCharacter:
     """The character with these constants on the supports of
-    ``part = _tracked_extend(basis, new)``, or UNIT.
-
-    ``part`` is (basis, exprs, relations, completed), and the relations
-    generate the kernel.  As ``pow_zx`` is Z[x]-linear in the exponent, every
-    relation among the supports sends the constants to 1 exactly when
-    each generator does; a zero support's relation is e_l, so its
-    constant must be 1.  The constant of basis column k is then the
-    constants to expr_k, the same for every expression of the column.
+    ``part = _tracked_extend(basis, new)``, (basis, exprs, relations,
+    completed), when the constants send every relation to 1 (``_adjoin``
+    and ``_proper_roots`` check that).  The constant of basis column k is
+    the constants to expr_k, the same for every expression of the column.
     """
-    basis, exprs, kernel, _ = part
-    if any(not _apply(k.entries, consts, sigma).is_one() for k in kernel):
-        return UNIT
+    basis, exprs, _, _ = part
     return PartialCharacter(sigma, basis, tuple(_apply(e, consts, sigma) for e in exprs))
 
 
@@ -198,8 +197,8 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
     column's expression over the supports, and relations that generate
     all of them, with no completion when the certificate of
     ``zx_lattice._extend`` holds, as it does when the supports have
-    distinct leading rows.  The constants go through the expressions and
-    properness is tested on the relations (``_with_constants``).
+    distinct leading rows.  Properness is tested on the relations, and
+    the constants go through the expressions (``_with_constants``).
     """
     binomials = list(binomials)
     if n is None and not binomials:
@@ -210,10 +209,19 @@ def make_character(binomials, sigma: SigmaConfig, n: int | None = None):
 
 def _adjoin(rho: PartialCharacter, binomials):
     """rho with the binomials adjoined, or UNIT: ``_tracked_extend`` of
-    rho's basis by their supports, then ``_with_constants`` on rho's
-    constants followed by theirs."""
+    rho's basis by their supports, then, on rho's constants followed by
+    theirs, the test of the relations and ``_with_constants``.
+
+    The extension's relations generate the kernel.  As ``pow_zx`` is
+    Z[x]-linear in the exponent, every relation among the supports sends
+    the constants to 1 exactly when each generator does; a zero support's
+    relation is e_l, so its constant must be 1.
+    """
     part = _tracked_extend(rho.basis, [b.support for b in binomials])
-    return _with_constants(part, rho.constants + tuple(b.constant for b in binomials), rho.sigma)
+    consts = rho.constants + tuple(b.constant for b in binomials)
+    if any(not _apply(r.entries, consts, rho.sigma).is_one() for r in part[2]):
+        return UNIT
+    return _with_constants(part, consts, rho.sigma)
 
 
 def member(b: LaurentBinomial, rho: PartialCharacter) -> bool:
@@ -332,56 +340,74 @@ def perfect_closure(binomials, sigma: SigmaConfig, n: int | None = None):
     return _wellmixed_round(reflexive_closure(binomials, sigma, n))
 
 
+def _proper_roots(relations, rho: PartialCharacter, w: saturation.SatWitnessZ):
+    """(a, u0, s) for a ZFactor witness w = (h, k, e), a the principal
+    k-th root of rho(k h) and s | k: rho's constants followed by
+    a*zeta_k^u send every relation to 1 exactly when u = u0 mod s; None
+    when no u does.
+
+    ``_apply`` raises turns to q(eps) and zeta_k has no radical part, so
+    relation r sends them to v_r * zeta_k^(u*b_r), v_r its value at u = 0
+    and b_r = r_last(eps).  That is 1 exactly when v_r has no radical
+    part, t_r = k*turn(v_r) is an integer and t_r + u*b_r = 0 mod k.  The
+    solutions of the congruences met so far are u0 + sZ; on u = u0 + s*j,
+    the next one reads b_r*s*j = c mod k, c = -(t_r + u0*b_r).  With
+    g = gcd(b_r*s, k), it is solvable exactly when g | c, by
+    j = (c/g) * (b_r*s/g)^(-1) mod k/g, and then s grows to s*k/g, which
+    divides k as s does.
+    """
+    k, sigma = w.k, rho.sigma
+    u0, s = 0, 1
+    consts = rho.constants + (principal_root(_apply(w.e, rho.constants, sigma), k),)
+    for r in relations:
+        v, b = _apply(r.entries, consts, sigma), r.entries[-1](sigma.eps)
+        c, g = -(v.turn * k + u0 * b), math.gcd(b * s, k)
+        if v.factors or c.denominator != 1 or c.numerator % g:
+            return None
+        u0, s = u0 + s * (c.numerator // g) * pow(b * s // g, -1, k // g), s * k // g
+    return consts[-1], u0 % s, s
+
+
 def dec_laurent(binomials, sigma: SigmaConfig, n: int | None = None) -> list[PartialCharacter]:
     """Decompose the perfect closure into reflexive prime characters.
 
-    Empty output means the perfect closure is the unit ideal.  Branching
-    adjoins, for every ZFactor witness (h, k, e), each k-th root of
-    rho(k h) as the constant of a new generator with support h.
+    Empty output means the perfect closure is the unit ideal.  The
+    components are the characters of sat_Z(L) that extend the reflexive
+    closure rho, of lattice L; each round adjoins one ZFactor witness
+    (h, k, e), with a k-th root of rho(k h) as the constant of support h.
 
-    The branch tree is walked level by level, starting from the
+    The branch tree is walked round by round, starting from the
     reflexive closure.  Branches differ only in their constants: every
-    character on a level has the same basis, hence the same witnesses,
-    and every system of the next level has the same supports.  So
-    ``zfactor`` and the extension of the level's basis by the witness
-    supports (``_tracked_extend``) run once per level, with no stacked
-    completion unless its certificate fails, and each root choice only
-    runs ``_with_constants``: properness on the relations, then the
-    constants of the basis columns.  A child restricts to its parent and
-    takes the chosen root on each witness, so no two children are
-    equal.
+    character of a round has the same basis, hence the same witnesses,
+    and every child the same supports.  So ``zfactor`` and the extension
+    of the basis by h (``_tracked_extend``) run once per round, with no
+    completion unless its certificate fails.  Only the proper children
+    are built: with a the principal root, the roots a*zeta_k^u that every
+    relation of the extension accepts form one coset of u
+    (``_proper_roots``), and each child takes its constants through the
+    expressions (``_with_constants``).  A child restricts to its parent
+    and takes its own root on h, so no two children are equal.
 
-    A level with more than ``_MAX_ROOT_CHOICES`` root choices raises
-    RuntimeError before any root is listed: a witness order k can be a
-    large prime or an unfactored composite.
+    A round with more than ``_MAX_ROOT_CHOICES`` proper children raises
+    RuntimeError before any is built: a witness order k can be a large
+    prime or an unfactored composite.  At the last round the count is the
+    number of components.
     """
     start = reflexive_closure(binomials, sigma, n)
-    if is_unit(start):
-        return []
-    level = [start]
-    while True:
-        basis = level[0].basis
-        wits = saturation.zfactor(basis)
-        if not wits:
-            break
-        choices = len(level) * math.prod(w.k for w in wits)
+    level = [] if is_unit(start) else [start]
+    while level and (wits := saturation.zfactor(level[0].basis)):
+        w = wits[0]
+        part = _tracked_extend(level[0].basis, [w.h])
+        nodes = [(rho.constants,) + c for rho in level if (c := _proper_roots(part[2], rho, w))]
+        choices = sum(w.k // s for *_, s in nodes)
         if choices > _MAX_ROOT_CHOICES:
             raise RuntimeError(
-                "decomposition budget exhausted: %d root choices on one level, more than %d"
+                "decomposition budget exhausted: %d proper root choices in one round, more than %d"
                 % (choices, _MAX_ROOT_CHOICES)
             )
-        part = _tracked_extend(basis, [w.h for w in wits])
-        children = []
-        for rho in level:
-            root_lists = [kth_roots(_apply(w.e, rho.constants, sigma), w.k) for w in wits]
-            for choice in itertools.product(*root_lists):
-                child = _with_constants(part, rho.constants + choice, sigma)
-                if not is_unit(child):
-                    children.append(child)
-        if not children:
-            return []
-        level = children
-    # every character on the last level has part's basis: sort by constants
+        level = [_with_constants(part, consts + (a * FieldConst.root_of_unity(w.k, u),), sigma)
+                 for consts, a, u0, s in nodes for u in range(u0, w.k, s)]
+    # every character of the last round has the same basis: sort by constants
     return sorted(level, key=lambda rho: [str(d) for d in rho.constants])
 
 

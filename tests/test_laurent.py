@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V, laurent_systems, rand_vec, truncated_kernel
-from sigma_binomial.constants import FieldConst, SigmaConfig, const_from_str, kth_roots, o_m, pow_zx
+from sigma_binomial.binomial import dec_binomial
+from sigma_binomial.constants import (
+    FieldConst, SigmaConfig, const_from_str, kth_roots, o_m, pow_zx, principal_root,
+)
 from sigma_binomial.polyzx import IntPoly, poly_from_str
 from sigma_binomial.saturation import is_saturated, m_shift
 from sigma_binomial.zx_lattice import DimensionError, LatVec, ghnf, gker, lattice_equal
@@ -49,6 +52,8 @@ P = poly_from_str
 
 SYS_716 = "y1^(x^2-2) - 1\ny2^(x^2-2) - 1\ny1*y2^(-x)*y3^(2) - 1"
 SYS_522 = "y1^(2) + 1\ny1^(x) - y1\ny2^(2) + 1\ny2^(x) + y2"
+# the larger family of the decomposition-oracle tests
+LARGER = dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)
 
 
 def L(text, n):
@@ -303,11 +308,7 @@ def _close_to_fixpoint(binomials, sigma, n, *steps):
     return UNIT
 
 
-@pytest.mark.parametrize(
-    "family",
-    [{}, dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)],
-    ids=["default", "larger"],
-)
+@pytest.mark.parametrize("family", [{}, LARGER], ids=["default", "larger"])
 def test_closures_match_the_fixpoint_loop(family):
     """One well-mixed round gives the well-mixed and perfect closures that
     adjoining forced binomials until none is left gives, under both
@@ -456,10 +457,25 @@ def test_a_sigma_that_is_no_sigma_config_raises(sigma):
         lambda: pow_zx(FieldConst.root_of_unity(3), IntPoly.term(1, 1), sigma),
         lambda: o_m(3, sigma),
         lambda: m_shift(sigma),
-        lambda: perfect_closure([L("y1^(x) - zeta(3)", 1)], sigma, 1),
     ]
     for call in calls:
         with pytest.raises(AttributeError, match="eps"):
+            call()
+    # a character refuses it when it is built, before any constant is raised
+    with pytest.raises(TypeError, match="SigmaConfig"):
+        perfect_closure([L("y1^(x) - zeta(3)", 1)], sigma, 1)
+
+
+def test_a_character_is_built_only_with_a_sigma_config():
+    """Where no constant is ever raised to a Z[x]-exponent, a string sigma
+    used to pass unnoticed: the empty system's character held it."""
+    calls = [
+        lambda: make_character([], "conj", 2),
+        lambda: dec_laurent([], "conj", 1),
+        lambda: dec_binomial([], "conj", 1),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="SigmaConfig"):
             call()
 
 
@@ -553,11 +569,7 @@ def _extension_outcome(basis, new, completions):
     return "nothing new" if out == basis else "certified"
 
 
-@pytest.mark.parametrize(
-    "family",
-    [{}, dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)],
-    ids=["default", "larger"],
-)
+@pytest.mark.parametrize("family", [{}, LARGER], ids=["default", "larger"])
 def test_tracked_extend_matches_the_tracked_kernel(monkeypatch, family):
     """Every extension that the perfect closure and dec_laurent make, and
     each of their bases extended by a lattice vector and a zero vector:
@@ -580,7 +592,8 @@ def test_tracked_extend_matches_the_tracked_kernel(monkeypatch, family):
             try:
                 dec_laurent(system, sg, n)
             except RuntimeError as exc:
-                # system 16 of the larger family is refused
+                # dec_laurent's budget on the proper children of a round,
+                # which no system of either family reaches
                 assert "root choices" in str(exc), system
     cases = list(calls.values())
     for basis in {basis.columns: basis for basis, _ in cases if basis.columns}.values():
@@ -652,12 +665,94 @@ def test_decomposition_oracle_larger_family():
             p, a = _check_decomposition(n, system, sigma, rng)
             proper, agreeing = proper + p, agreeing + a
         except RuntimeError as exc:
-            # dec_laurent's budget: the branch tree starts at the reflexive
-            # closure, whose witness orders can multiply past the limit
+            # dec_laurent's budget counts the proper children of a round,
+            # and no system of this family reaches it
             assert "root choices" in str(exc), system
             refused += 1
         assert time.perf_counter() - start < 2.0, system
     assert proper and agreeing and refused <= 1, (proper, agreeing, refused)
+
+
+def test_dec_laurent_builds_only_proper_children():
+    """System 16 of the larger family: its reflexive closure holds
+    y1^(664547129) - 1, so a round adjoins a witness of that order to each
+    of 2 characters, and listing every root there would take 1,329,094,258
+    root choices.  Only the proper ones are built: the 2 components."""
+    n, system, sigma = list(laurent_systems(**LARGER))[16]
+    assert member(L("y1^(664547129) - 1", n), reflexive_closure(system, sigma, n))
+    comps = dec_laurent(system, sigma, n)
+    assert ["; ".join(str(b) for b in rho.binomials) for rho in comps] == [
+        "y1 - 1; y2 - zeta(6); y3 - 2^(-1/2)*zeta(4)",
+        "y1 - 1; y2 - zeta(6); y3 - 2^(-1/2)*zeta(4)^3",
+    ]
+
+
+def _check_roots(relations, rho, w, out, rng):
+    """_proper_roots' answer out for one node against the kth_roots filter
+    of a generate-and-discard tree: the roots of rho(k h) that every
+    relation sends to 1.  Past k = 4096 the roots are not all listed:
+    then the coset's roots are checked when it has at most 4096, and 64
+    u drawn from [0, k) must be accepted exactly on the coset."""
+    k, value = w.k, _apply(w.e, rho.constants, rho.sigma)
+
+    def accepted(root):
+        consts = rho.constants + (root,)
+        return all(_apply(r.entries, consts, rho.sigma).is_one() for r in relations)
+
+    def coset():
+        return [] if out is None else [out[0] * FieldConst.root_of_unity(k, u) for u in range(out[1], k, out[2])]
+
+    if k <= 4096:
+        assert coset() == [c for c in kth_roots(value, k) if accepted(c)]
+        return
+    assert out is None or out[0] == principal_root(value, k)
+    if out is not None and k // out[2] <= 4096:
+        assert all(accepted(root) for root in coset())
+    for u in (rng.randrange(k) for _ in range(64)):
+        root = principal_root(value, k) * FieldConst.root_of_unity(k, u)
+        assert accepted(root) == (out is not None and u % out[2] == out[1]), u
+
+
+@pytest.mark.parametrize("family", [{}, LARGER], ids=["default", "larger"])
+def test_proper_roots_against_brute_force(monkeypatch, family):
+    """Each round of dec_laurent lists exactly the roots that its
+    relations accept (``_check_roots``), and the count its budget checks
+    is the number of children it builds; after the last round, the
+    components.  Under both automorphisms on the criterion-9 family."""
+    import sigma_binomial.laurent as laurent_mod
+
+    events, rng = [], random.Random(3)
+    real_roots, real_with = laurent_mod._proper_roots, laurent_mod._with_constants
+
+    def recorded_roots(relations, rho, w):
+        out = real_roots(relations, rho, w)
+        events.append((relations, rho, w, out))
+        return out
+
+    monkeypatch.setattr(laurent_mod, "_proper_roots", recorded_roots)
+    monkeypatch.setattr(laurent_mod, "_with_constants", lambda *a: events.append(None) or real_with(*a))
+    rounds = 0
+    for n, system, sigma in laurent_systems(**family):
+        for sg in (ID, CONJ) if not family else (sigma,):
+            events.clear()
+            comps = dec_laurent(system, sg, n)
+            # [nodes, children built] per round; the characters that the
+            # reflexive closure builds come before the first round
+            groups = []
+            for event in events:
+                if event is None:
+                    if groups:
+                        groups[-1][1] += 1
+                    continue
+                if not groups or groups[-1][1]:
+                    groups.append([[], 0])
+                groups[-1][0].append(event)
+                _check_roots(*event, rng)
+            for nodes, built in groups:
+                assert sum(w.k // out[2] for _, _, w, out in nodes if out) == built, system
+            assert not groups or groups[-1][1] == len(comps), system
+            rounds += len(groups)
+    assert rounds
 
 
 def _reference_product(exponents, consts, sigma):
@@ -705,11 +800,7 @@ def test_apply_is_the_pow_zx_product(pairs, sigma, cancel):
         assert got.is_one()
 
 
-@pytest.mark.parametrize(
-    "family",
-    [{}, dict(seed=21, trials=60, nvars=(3, 5), sizes=(2, 5), maxdeg=3)],
-    ids=["default", "larger"],
-)
+@pytest.mark.parametrize("family", [{}, LARGER], ids=["default", "larger"])
 def test_properness_against_lifted_relations(family):
     """make_character returns UNIT exactly when some Z[x]-relation among
     the supports sends the constants to something other than 1.  The

@@ -1,7 +1,7 @@
 """Write the canonical outputs of a source tree, one per line, for differential checks.
 
 Usage:
-    python3 tools/dump_outputs.py SRC_ROOT OUT [--sat-seeds 11] [--laurent-seeds 13]
+    python3 tools/dump_outputs.py SRC_ROOT OUT [--sat-seeds 11] [--laurent-seeds 13] [--digests PATH]
 
 SRC_ROOT is the root of a checkout (holding ``src/`` and ``bench/``);
 the library and the benchmark's instance generators are both taken from
@@ -42,11 +42,21 @@ it.  OUT receives one line per output:
 The seed options take comma-separated lists.  Two trees that compute the
 same outputs give files that ``cmp`` finds identical.  Only the standard
 library is used.
+
+With ``--digests PATH`` the tool also writes one line per output to PATH:
+its key and a short digest of its value (``write_digests``).  The
+default-seed digests are committed as ``tests/dump_digests.txt``, and
+``tests/test_dump_digests.py`` regenerates them and names every key that
+changed, went missing or is new.  A change that alters outputs on purpose
+rewrites that file with::
+
+    python3 tools/dump_outputs.py . OUT --digests tests/dump_digests.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -305,6 +315,21 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
     return lines
 
 
+def write_digests(dump_path: str, digest_path: str) -> None:
+    """One line 'KEY DIGEST' per line of a dump, in its order: DIGEST is
+    the first 12 hex digits of the SHA-256 of the line's value."""
+    with open(dump_path, encoding="utf-8") as src, open(digest_path, "w", encoding="utf-8") as out:
+        for line in src:
+            key, value = line.rstrip("\n").split(" ", 1)
+            out.write("%s %s\n" % (key, hashlib.sha256(value.encode()).hexdigest()[:12]))
+
+
+def read_digests(path: str) -> dict[str, str]:
+    """The digest of each key of a file that ``write_digests`` wrote."""
+    with open(path, encoding="utf-8") as src:
+        return dict(line.split() for line in src)
+
+
 def _seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
@@ -317,10 +342,15 @@ def main(argv=None) -> int:
                         help="criterion-9 saturation family seeds (default 11)")
     parser.add_argument("--laurent-seeds", type=_seeds, default=[13],
                         help="criterion-9 Laurent family seeds (default 13)")
+    parser.add_argument("--digests", metavar="PATH",
+                        help="also write each output's key and digest to PATH")
     args = parser.parse_args(argv)
     with open(args.out, "w", encoding="utf-8") as out:
         lines = dump(os.path.abspath(args.root), out, args.sat_seeds, args.laurent_seeds)
     print("%d outputs written to %s" % (lines, args.out))
+    if args.digests:
+        write_digests(args.out, args.digests)
+        print("%d digests written to %s" % (lines, args.digests))
     return 0
 
 
