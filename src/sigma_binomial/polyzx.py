@@ -175,7 +175,8 @@ def _is_prime(n: int) -> bool:
 def _pollard_brent(n: int) -> int:
     """A proper factor of the odd composite n, by Brent's variant of rho.
 
-    Raises ValueError, naming n, once ``_RHO_BUDGET`` squarings are spent.
+    Raises RuntimeError, naming n, once ``_RHO_BUDGET`` squarings are
+    spent: an exhausted budget, not a malformed input.
     """
     budget = _RHO_BUDGET
     for c in itertools.count(1):
@@ -183,7 +184,7 @@ def _pollard_brent(n: int) -> int:
         while g == 1:
             budget -= 2 * r  # at most r squarings for x, r more for the batches
             if budget < 0:
-                raise ValueError("cannot factor %d within %d rho steps" % (n, _RHO_BUDGET))
+                raise RuntimeError("cannot factor %d within %d rho steps" % (n, _RHO_BUDGET))
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -229,7 +230,7 @@ def prime_factors(n: int) -> list[int]:
 
     Primes below 1000 are divided out; the cofactor is split by
     Pollard-Brent rho, each part tested by ``_is_prime``.  A part that rho
-    cannot split within its budget raises ValueError.
+    cannot split within its budget raises RuntimeError.
     """
     out, n = _trial_divide(n)
     stack = [n] if n > 1 else []

@@ -42,6 +42,14 @@ strong Groebner basis over Z, so it applies).  So ``gker`` returns the
 relations of a completed extension as they are, takes the GHNF of the
 others, and runs at most one completion.
 
+Stacked rows are the one way a transformation is recorded.
+``grem_track`` reduces (0, v) by the stacked columns of the basis and
+reads minus the quotients off rows 1..s of the remainder.  The HNFs over
+Z and Z_m[x] read their transforms off unit rows stacked above their
+columns, which no elimination step touches (``pid_linalg._transformed``):
+``ker_int``'s kernel for ``xfactor``, and ``hnf_modpoly``'s for
+``zfactor``.
+
 Two reduction conventions coexist on purpose:
 
 * the canonical reduction (``_reduce``) used by ``grem``, the
@@ -307,19 +315,18 @@ def _pivot_table(cols: Sequence[LatVec]) -> dict[int, list]:
     return table
 
 
-def _reduce(v: LatVec, cols: Sequence[LatVec], table, track: bool):
+def _reduce(v: LatVec, cols: Sequence[LatVec], table) -> LatVec:
     """Canonical reduction of v by the columns, whose ``_pivot_table`` is
-    ``table``.
+    ``table``: r = v - (a Z[x]-combination of the columns).
 
-    Returns (r, qs) with v = r + sum(qs[i] * cols[i]).  Every coefficient
-    of r sitting under some column's leading term ends up in [0, c) for
-    the column the table names, of least leading coefficient c.  r is v
-    itself when v is canonical already.  qs is None unless track is set.
+    Every coefficient of r sitting under some column's leading term ends
+    up in [0, c) for the column the table names, of least leading
+    coefficient c.  r is v itself when v is canonical already.  Rows that
+    hold no column's leading term are only updated, so the quotients are
+    read off expression rows stacked above v and the columns
+    (``grem_track``).
     """
     rows = None  # v's coefficient lists, copied at the first reduction
-    # coefficient lists of the quotients: d only falls, so each column's
-    # first term has its largest shift and no shift repeats
-    qs = [[] for _ in cols] if track else None
     for row in range(v.n - 1, -1, -1):
         piv = table.get(row)
         if not piv:
@@ -351,12 +358,7 @@ def _reduce(v: LatVec, cols: Sequence[LatVec], table, track: bool):
                 for k, c in enumerate(e.coeffs):
                     if c:
                         target[k + shift] -= q * c
-            if track:
-                if not qs[idx]:
-                    qs[idx] = [0] * (shift + 1)
-                qs[idx][shift] = q
-    r = v if rows is None else LatVec(IntPoly(cs) for cs in rows)
-    return r, (tuple(IntPoly(c) for c in qs) if track else None)
+    return v if rows is None else LatVec(IntPoly(cs) for cs in rows)
 
 
 def _cols_and_table(v: LatVec, basis: "GhnfBasis | Sequence[LatVec]"):
@@ -373,14 +375,23 @@ def _cols_and_table(v: LatVec, basis: "GhnfBasis | Sequence[LatVec]"):
 
 def grem(v: LatVec, basis: "GhnfBasis | Sequence[LatVec]") -> LatVec:
     """Canonical normal form of v modulo the basis columns."""
-    return _reduce(v, *_cols_and_table(v, basis), False)[0]
+    return _reduce(v, *_cols_and_table(v, basis))
 
 
 def grem_track(
     v: LatVec, basis: "GhnfBasis | Sequence[LatVec]"
 ) -> tuple[LatVec, tuple[IntPoly, ...]]:
-    """Normal form plus the coefficient of each basis column used."""
-    return _reduce(v, *_cols_and_table(v, basis), True)
+    """(r, qs): the normal form r = grem(v, basis) and the coefficient of
+    each basis column used, v = r + sum(qs[l] * column_l).
+
+    The reduction runs on (0, v) by the stacked columns (e_l, g_l) of
+    ``_stacked``, whose pivot table is the basis's own moved down by s, as
+    in ``_tracked_extend``; it leaves (-qs, r)."""
+    cols, table = _cols_and_table(v, basis)
+    s = len(cols)
+    r = _reduce(LatVec((IntPoly(),) * s + v.entries), _stacked(cols),
+                {row + s: entries for row, entries in table.items()})
+    return LatVec(r.entries[s:]), tuple(-q for q in r.entries[:s])
 
 
 def _is_greduced_lenient(v: LatVec, others: Sequence[LatVec]) -> bool:
@@ -524,7 +535,7 @@ def _certified(basis: Sequence[LatVec], table, inputs: Sequence[LatVec], s: int)
              if f.leading_term().row == g.leading_term().row)
     rels = []
     for v in chain(inputs, pairs):
-        r = _reduce(v, basis, table, False)[0]
+        r = _reduce(v, basis, table)
         if r:
             if any(r.entries[s:]):
                 return None
@@ -542,7 +553,7 @@ def _tail_reduced(basis: list[LatVec], table) -> None:
     leading degree: past it the column has no coefficient there."""
     for idx, g in enumerate(basis):
         lt = g.leading_term()
-        red, _ = _reduce(g, basis, {**table, lt.row - 1: table[lt.row - 1][: lt.deg]}, False)
+        red = _reduce(g, basis, {**table, lt.row - 1: table[lt.row - 1][: lt.deg]})
         if _lt_key(red) != _lt_key(g):
             raise AssertionError("tail reduction moved a leading term")
         basis[idx] = red
@@ -639,7 +650,7 @@ def _extend(head: Sequence[LatVec], table, new: Sequence[LatVec], s: int):
     """
     rems, rels = [], []
     for v in new:
-        r = _reduce(v, head, table, False)[0]
+        r = _reduce(v, head, table)
         if r:
             (rems if any(r.entries[s:]) else rels).append(r if r.is_normal() else -r)
     if not rems and not s:
@@ -684,7 +695,8 @@ def ghnf_track(
 def _stacked(gens: Sequence[LatVec]) -> list[LatVec]:
     """The columns (e_l, g_l) in Z[x]^(s+n), s = len(gens): the unit
     vector e_l in rows 1..s above g_l in rows s+1..s+n."""
-    return [LatVec(LatVec.unit(len(gens), l).entries + g.entries) for l, g in enumerate(gens)]
+    s, zero, one = len(gens), IntPoly(), IntPoly.const(1)
+    return [LatVec((zero,) * l + (one,) + (zero,) * (s - l - 1) + g.entries) for l, g in enumerate(gens)]
 
 
 def _split(cols: Sequence[LatVec], s: int, n: int):

@@ -370,16 +370,21 @@ def test_negative_nvars_exit_2(capsys, cmd, inp):
     assert err[-1] == "sigma-binomial: error: argument --nvars: must be at least 0, got -2"
 
 
-def test_unfactorable_constant_exit_2(capsys):
-    # (2^61 - 1)(2^89 - 1): rho would need about 2^30 steps to split it
+def test_unfactorable_constant_exit_3(monkeypatch, capsys):
+    # (2^61 - 1)(2^89 - 1): rho would need about 2^30 steps to split it.
+    # A valid input whose factoring budget runs out is an exhausted
+    # computation budget (exit 3), not a parse error (exit 2); a small
+    # budget makes it run out at once.
+    import sigma_binomial.polyzx as polyzx
+
+    monkeypatch.setattr(polyzx, "_RHO_BUDGET", 1000)
     big = (2**61 - 1) * (2**89 - 1)
     start = time.perf_counter()
     code, out = call(["charset"], "y1 - %d\n" % big)
-    assert time.perf_counter() - start < 10.0
-    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert str(big) in err
+    assert err == "error: internal failure: cannot factor %d within 1000 rho steps\n" % big
 
 
 # Three valid lines whose characteristic set's constants carry exponents

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigma_binomial.pid_linalg import (
+    _INT_RING,
+    _hnf,
     _hnf_int,
     _pivot_row,
     hnf_modpoly,
     int_lattice_contains,
     ker_int,
 )
-from sigma_binomial.polyzx import ModPoly, NonUnit, poly_from_str
+from sigma_binomial.polyzx import ModPoly, NonUnit, inverse_mod, poly_from_str
 
 P = poly_from_str
 
@@ -131,6 +133,32 @@ def test_hnf_transformation_invertible():
             piv = max(i for i in range(cols) if c[i])
             assert c[piv] == ModPoly(p, (1,))
             assert all(c[i].degree <= 0 for i in range(cols))
+
+
+def test_record_rows_follow_the_column_operations():
+    """Record rows above ``top`` are carried, never eliminated: on random
+    integer and Z_p[x] matrices A with an arbitrary block R stacked above
+    them, the rows from ``top`` on are the HNF of A alone, and the rows
+    above are R*U for the transformation U of A's HNF."""
+    rng = random.Random(37)
+    for trial in range(200):
+        rows, cols, top = rng.randint(1, 4), rng.randint(0, 5), rng.randint(0, 3)
+        if trial % 2:
+            p = rng.choice([2, 3, 5, 7])
+            ring = (lambda a, j: (a.degree, j), lambda a, b: divmod(a, b)[0],
+                    lambda a, p=p: inverse_mod(a.lead, p))
+            a, r = rand_modpoly_columns(rng, p, rows, cols), rand_modpoly_columns(rng, p, top, cols)
+            zero, u = ModPoly(p), hnf_modpoly(a, p)[1]
+        else:
+            ring = _INT_RING
+            a = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(rows)] for _ in range(cols)]
+            r = [[rng.randint(-9, 9) for _ in range(top)] for _ in range(cols)]
+            zero, u = 0, _hnf_int(a)[1]
+        out = _hnf([rk + ak for rk, ak in zip(r, a)], top, *ring)
+        assert [c[top:] for c in out] == _hnf(a, 0, *ring)
+        upper = [c[:top] for c in out]
+        assert upper == [[sum((rj[i] * uk[j] for j, rj in enumerate(r)), zero) for i in range(top)]
+                         for uk in u]
 
 
 def test_ker_modpoly_examples():

@@ -14,7 +14,8 @@ it.  OUT receives one line per output:
   ``lattice``-pool instance, which are no GHNF: once as a list, which it
   sorts, and once as a ``GhnfBasis`` in the order given;
 - on the criterion-9 saturation family, per seed and trial: the
-  ``zfactor`` witnesses (h, k, e) of the input's GHNF, ``sat_z`` with
+  ``zfactor`` witnesses (h, k, e) and the ``xfactor`` witnesses (h, e)
+  of the input's GHNF, which pin ``ker_int``'s transform, ``sat_z`` with
   its least multipliers, ``sat_m`` and ``sat_p`` under both automorphisms,
   and ``sat_full``; also, per automorphism, ``is_saturated`` of the
   input's GHNF for kinds m and p, and the GHNF of the input plus its
@@ -51,6 +52,13 @@ changed, went missing or is new.  A change that alters outputs on purpose
 rewrites that file with::
 
     python3 tools/dump_outputs.py . OUT --digests tests/dump_digests.txt
+
+The digests at CI's extra seeds, which reach the completion fallbacks,
+are committed as ``tests/dump_digests_seeds.txt``; CI compares them with
+``diff``, and the same change rewrites them with::
+
+    python3 tools/dump_outputs.py . OUT --digests tests/dump_digests_seeds.txt \
+        --sat-seeds 111,112,113,114,23 --laurent-seeds 113,114,115,116,21,22
 """
 
 from __future__ import annotations
@@ -252,6 +260,8 @@ def dump(root: str, out, sat_seeds, laurent_seeds) -> int:
                         for w in sb.zfactor(sb.ghnf(gens, n))]
 
             emit(tag + "/zfactor", _guard(witnesses))
+            emit(tag + "/xfactor",
+                 _guard(lambda: [(str(w.h), list(w.e)) for w in sb.xfactor(sb.ghnf(gens, n))]))
             emit(tag + "/sat_z", _guard(lambda: _sat_z(sb, gens, n)))
             for sigma in sigmas:
                 emit("%s/sat_m/%s" % (tag, sigma.name), _guard(lambda: _columns(sb.sat_m(gens, sigma, n))))
